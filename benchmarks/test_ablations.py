@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import run_once
+from repro.api import run
 from repro.config import SystemConfig
 from repro.layout.aos import ArrayOfStructsLayout
 from repro.layout.interleaved import InterleavedLayout
-from repro.sim.driver import run
 
 
 #: a tightened buffer so straying spans the queue at test scale (the

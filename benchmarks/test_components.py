@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api import run
 from repro.config import SystemConfig
 from repro.dram.controller import MemoryController
 from repro.engine.events import Engine
@@ -16,7 +17,6 @@ from repro.engine.stats import Stats
 from repro.isa.executor import ThreadContext, step_one
 from repro.isa.program import Program
 from repro.layout.interleaved import InterleavedLayout
-from repro.sim.driver import run
 
 
 def test_interpreter_throughput(benchmark):

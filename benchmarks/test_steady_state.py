@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.sim.driver import run
+from repro.api import run
 
 SIZES = [2048, 4096, 8192, 16384]
 

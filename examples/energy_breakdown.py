@@ -16,13 +16,14 @@ Run:
 
 from __future__ import annotations
 
-from repro import run_many
+from repro import api
 
 ARCHES = ["gpgpu", "ssmc", "millipede", "millipede-rm"]
 
 
 def show(workload: str, n_records: int) -> None:
-    results = run_many(ARCHES, workload, n_records=n_records)
+    grid = api.sweep(ARCHES, [workload], n_records=n_records)
+    results = {arch: r for (arch, _), r in grid.items()}
     print(f"=== {workload} ({n_records} records) ===")
     print(f"{'arch':>14s} {'core dyn':>9s} {'idle':>8s} {'dram':>8s} "
           f"{'leakage':>8s} {'total':>8s} {'runtime':>9s}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import run_many
+from repro import api
 
 ARCHES = ["gpgpu", "ssmc", "millipede"]
 
@@ -23,7 +23,8 @@ def main() -> None:
     n_records = int(sys.argv[1]) if len(sys.argv) > 1 else 8192
     print(f"simulating `count` over {n_records} records on {', '.join(ARCHES)}...\n")
 
-    results = run_many(ARCHES, "count", n_records=n_records)
+    grid = api.sweep(ARCHES, ["count"], n_records=n_records)
+    results = {arch: r for (arch, _), r in grid.items()}
 
     base = results["gpgpu"].throughput_words_per_s
     print(f"{'arch':>12s} {'runtime':>10s} {'throughput':>12s} {'vs gpgpu':>9s} "

@@ -9,20 +9,22 @@ Quick start
 True
 
 Batches of runs are described by frozen :class:`RunSpec` values and fanned
-out over worker processes (deduplicated + disk-cached) by ``run_batch``:
+out over worker processes (deduplicated, and recorded in a durable
+:class:`FingerprintStore` when ``store=`` is given) by ``run_batch``:
 
 >>> from repro import RunSpec, run_batch
 >>> specs = [RunSpec(a, "count") for a in ("ssmc", "millipede")]
->>> results = run_batch(specs, workers=4)                # doctest: +SKIP
+>>> results = run_batch(specs, workers=4,
+...                     store=".repro_cache")            # doctest: +SKIP
 
 Execution knobs (validation, sanitizer, tracer, and the fast ``vector``
 backend - see ``docs/backends.md``) travel as one frozen
-:class:`ExecOptions` value; :mod:`repro.api` is the facade built around
-it:
+:class:`ExecOptions` value.  ``run``, ``run_batch`` and ``run_campaign``
+here are :mod:`repro.api`'s, the only public run surface:
 
->>> from repro import ExecOptions, api
->>> r = api.run("millipede", "count",
-...             options=ExecOptions(backend="vector"))   # doctest: +SKIP
+>>> from repro import ExecOptions, run
+>>> r = run("millipede", "count",
+...         options=ExecOptions(backend="vector"))       # doctest: +SKIP
 
 The package layers:
 
@@ -36,13 +38,15 @@ The package layers:
 * :mod:`repro.workloads` - the eight BMLA benchmarks + golden models
 * :mod:`repro.mapreduce` - host / cluster MapReduce layers
 * :mod:`repro.energy`    - component energy model
-* :mod:`repro.sim`       - one-call run driver
+* :mod:`repro.sim`       - run driver, campaigns, the fingerprint store
+* :mod:`repro.api`       - the public run entry points
 * :mod:`repro.sanitize`  - opt-in runtime invariant checking
 * :mod:`repro.trace`     - opt-in timeline tracing + host profiling
 * :mod:`repro.experiments` - regenerates every table and figure
 """
 
 from repro import api
+from repro.api import run, run_batch, run_campaign
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.sanitize import InvariantViolation, SimSanitizer
 from repro.sim.campaign import (
@@ -50,11 +54,9 @@ from repro.sim.campaign import (
     CampaignPlan,
     CampaignReport,
     plan_campaign,
-    run_batch,
-    run_campaign,
     shard_specs,
 )
-from repro.sim.driver import ARCHITECTURES, RunResult, run, run_many
+from repro.sim.driver import ARCHITECTURES, RunResult
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 from repro.sim.store import FingerprintStore
@@ -83,7 +85,6 @@ __all__ = [
     "run",
     "run_batch",
     "run_campaign",
-    "run_many",
     "shard_specs",
     "get_workload",
     "workload_names",

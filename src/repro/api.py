@@ -1,8 +1,9 @@
 """repro.api: the coherent entry-point facade.
 
-One import gives the three ways to run simulations, all speaking the
-same vocabulary — a *what* (arch, workload, config, n_records, seed) and
-a *how* (:class:`~repro.sim.options.ExecOptions`):
+The only public run surface: one import gives every way to run
+simulations, all speaking the same vocabulary — a *what* (arch,
+workload, config, n_records, seed) and a *how*
+(:class:`~repro.sim.options.ExecOptions`):
 
 >>> from repro import api
 >>> from repro.sim.options import ExecOptions
@@ -16,10 +17,10 @@ True
 
 Execution options travel as one frozen value instead of a trail of
 boolean arguments, so adding an axis (as the ``backend`` axis was) never
-widens these signatures again.  The pre-redesign entry points —
-:func:`repro.sim.driver.run`, :func:`repro.sim.driver.run_many`, and
-:func:`repro.experiments.common.cached_run` — remain as compatibility
-shims over the same machinery; new code should start here.
+widens these signatures again.  Results have one tier, the durable
+:class:`FingerprintStore`: pass ``store=`` (a store or its directory) to
+``run_batch``/``sweep`` and a fingerprint already recorded there is
+served instead of re-simulated (traced specs always simulate).
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from typing import Optional, Sequence, Union
 from pathlib import Path
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.sim.cache import ResultCache
 from repro.sim.campaign import (
     CampaignReport,
     coerce_store,
+    cross,
     run_batch as _campaign_run_batch,
     run_campaign as _campaign_run_campaign,
 )
-from repro.sim.driver import RunResult, run as _driver_run
+from repro.sim.driver import RunResult, _execute, run as _driver_run
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 from repro.sim.store import DEFAULT_LEASE_S, FingerprintStore
@@ -70,62 +71,53 @@ def run(
     ``run(RunSpec(...))`` runs a prepared spec; ``run(arch, workload)``
     builds one from the *what* arguments plus ``options`` (defaulting to
     ``ExecOptions()``: validated, reference backend, no sanitizer/tracer).
+    ``workload`` may also be an unregistered :class:`Workload` object.
     """
     if isinstance(arch, RunSpec):
-        if options is not None:
+        if workload is not None or options is not None:
             raise TypeError(
-                "run(RunSpec) carries its own options; "
-                "use spec.replace(options=...) to change them"
+                "run(RunSpec) carries its own workload and options; "
+                "use spec.replace(...) to change them"
             )
         return _driver_run(arch)
-    return _driver_run(
-        arch, workload, config=config, n_records=n_records, seed=seed,
+    if workload is None:
+        raise TypeError("run(arch, workload): workload is required")
+    spec = RunSpec(
+        arch, workload if isinstance(workload, str) else workload.name,
+        config=config, n_records=n_records, seed=seed,
         options=options if options is not None else ExecOptions(),
     )
+    if isinstance(workload, str):
+        return _driver_run(spec)
+    return _execute(spec, workload)
 
 
 def run_batch(
     specs: Sequence[RunSpec],
     *,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     store: "FingerprintStore | Path | str | None" = None,
     progress=None,
 ) -> list[RunResult]:
-    """Run many specs with dedup, optional result tiers, and fan-out.
+    """Run many specs with dedup, an optional result store, and fan-out.
 
-    Results come back in ``specs`` order.  ``cache`` is the session tier
-    (:class:`ResultCache`); ``store`` is the durable tier (a
-    :class:`FingerprintStore` or its directory path) - completed
-    fingerprints are served from it and fresh results appended to it.
-    Pass one or the other, not both.  This is
+    Results come back in ``specs`` order.  ``store`` (a
+    :class:`FingerprintStore` or its directory path) serves completed
+    fingerprints and records fresh results.  This is
     :func:`repro.sim.campaign.run_batch` re-exported under the facade;
-    see that module for the dedup/cache/progress contract.
+    see that module for the dedup/store/progress contract.
     """
-    owned_store = None
-    if store is not None:
-        if cache is not None:
-            raise TypeError("pass either cache= (session tier) or "
-                            "store= (durable tier), not both")
-        if not isinstance(store, FingerprintStore):
-            # created for this call: close its segment fd before returning
-            owned_store = coerce_store(store)
-            cache = owned_store
-        else:
-            cache = store
-    elif cache is not None and not isinstance(cache, ResultCache):
-        raise TypeError(
-            f"cache must be a ResultCache or None, got {type(cache).__name__}"
-            " (caching is off by default; pass a ResultCache to enable it,"
-            " or a FingerprintStore via store= for the durable tier)"
-        )
+    if store is None or isinstance(store, FingerprintStore):
+        return _campaign_run_batch(specs, workers=workers, store=store,
+                                   progress=progress)
+    # created for this call: close its segment fd before returning
+    owned = coerce_store(store)
     try:
-        return _campaign_run_batch(specs, workers=workers, cache=cache,
+        return _campaign_run_batch(specs, workers=workers, store=owned,
                                    progress=progress)
     finally:
-        if owned_store is not None:
-            owned_store.write_index()
-            owned_store.close()
+        owned.write_index()
+        owned.close()
 
 
 def run_campaign(
@@ -167,23 +159,16 @@ def sweep(
     seed: int = 0,
     options: Optional[ExecOptions] = None,
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
     store: "FingerprintStore | Path | str | None" = None,
 ) -> dict[tuple[str, str], RunResult]:
     """Run the arch × workload cross product; results keyed ``(arch, wl)``.
 
     ``workloads`` defaults to all eight registered benchmarks.  The grid
     is workload-major (the figures' iteration order) and shares
-    :func:`run_batch`'s dedup/cache/store machinery.
+    :func:`run_batch`'s dedup/store machinery.
     """
-    if workloads is None:
-        workloads = workload_names()
-    opts = options if options is not None else ExecOptions()
-    specs = [
-        RunSpec(a, wl, config=config, n_records=n_records, seed=seed,
-                options=opts)
-        for wl in workloads
-        for a in arches
-    ]
-    results = run_batch(specs, workers=workers, cache=cache, store=store)
+    specs = cross(arches, workloads if workloads is not None else workload_names(),
+                  config=config, n_records=n_records, seed=seed,
+                  options=options if options is not None else ExecOptions())
+    results = run_batch(specs, workers=workers, store=store)
     return {(s.arch, s.workload): r for s, r in zip(specs, results)}

@@ -206,8 +206,9 @@ class SystemConfig:
         return dataclasses.replace(self, **kwargs)
 
     # ------------------------------------------------------------------
-    # canonical dict / hash round-trip (used by RunSpec and the result
-    # cache so a config can cross process and disk boundaries losslessly)
+    # canonical dict / hash round-trip (used by RunSpec and the
+    # fingerprint store so a config can cross process and disk boundaries
+    # losslessly)
     # ------------------------------------------------------------------
     def as_canonical_dict(self) -> dict:
         """Plain nested dict of every field, suitable for JSON/pickling."""

@@ -1,7 +1,9 @@
 """Experiment harness: regenerates every table and figure of the paper's
 evaluation (section VI).
 
-Each experiment module exposes ``run_experiment(config, n_records, cache)``
+Each experiment module exposes ``run_experiment(config, n_records,
+options, ...)`` (``options`` an :class:`~repro.sim.options.ExecOptions`;
+``store``/``shard``/``resume``/``steal`` run it as a persistent campaign)
 returning a result object with a ``rows()`` table and a ``markdown()``
 report section; the CLI (``python -m repro.experiments``) runs them
 individually or all together and assembles EXPERIMENTS.md.

@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: cached sweeps, tables, ASCII charts."""
+"""Shared experiment plumbing: stored sweeps, tables, ASCII charts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.sim.cache import ResultCache
 from repro.sim.campaign import cross, run_batch, run_campaign
 from repro.sim.driver import RunResult
 from repro.sim.options import ExecOptions
@@ -57,7 +56,6 @@ class ShardIncomplete(RuntimeError):
 
 def _run_specs(
     specs: Sequence[RunSpec],
-    cache: Optional[ResultCache],
     workers: int,
     progress,
     store: "FingerprintStore | Path | str | None" = None,
@@ -66,16 +64,16 @@ def _run_specs(
     campaign: Optional[str] = None,
     steal: Optional[bool] = None,
 ) -> list[RunResult]:
-    """One dispatch point for every experiment: the plain cached batch, or
-    (with ``store``) a durable resume/shard-able campaign (work-stealing
-    by default when sharded; ``steal=False`` for the static split).
-    Raises :class:`ShardIncomplete` when other shards still owe results."""
+    """One dispatch point for every experiment: a plain in-memory batch,
+    or (with ``store``) a durable resume/shard-able campaign
+    (work-stealing by default when sharded; ``steal=False`` for the
+    static split).  Raises :class:`ShardIncomplete` when other shards
+    still owe results."""
     if store is None:
         if shard is not None:
             raise ValueError("sharding requires a persistent store "
                              "(pass store=, or --store on the CLI)")
-        return run_batch(specs, workers=workers, cache=cache,
-                         progress=progress)
+        return run_batch(specs, workers=workers, progress=progress)
     report = run_campaign(specs, store, workers=workers, shard=shard,
                           resume=resume, name=campaign, progress=progress,
                           steal=steal)
@@ -87,41 +85,8 @@ def _run_specs(
     return gathered
 
 
-def cached_run(
-    arch: str,
-    workload: str,
-    config: SystemConfig = DEFAULT_CONFIG,
-    n_records: Optional[int] = None,
-    seed: int = 0,
-    cache: Optional[ResultCache] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    trace_dir: Optional["Path | str"] = None,
-    backend: str = "reference",
-    options: Optional[ExecOptions] = None,
-    store: "FingerprintStore | Path | str | None" = None,
-) -> RunResult:
-    """`run` with optional disk caching keyed on the full configuration.
-
-    ``options`` supersedes the flat ``sanitize``/``trace``/``backend``
-    shims (mixing the two is an error).  ``store`` swaps the session
-    cache for the durable fingerprint store."""
-    if options is None:
-        options = ExecOptions(sanitize=sanitize, trace=trace, backend=backend)
-    elif (sanitize, trace, backend) != (False, False, "reference"):
-        raise TypeError("cached_run(): pass either options= or flat flags, not both")
-    spec = RunSpec(arch, workload, config=config, n_records=n_records, seed=seed,
-                   options=options)
-    writer = _trace_progress(trace_dir if options.trace else None)
-    out = _run_specs([spec], cache, 1, writer, store=store)[0]
-    if writer is not None:
-        writer.finish()
-    return out
-
-
 def batch_run(
     specs: Sequence[RunSpec],
-    cache: Optional[ResultCache] = None,
     workers: int = 1,
     trace_dir: Optional["Path | str"] = None,
     store: "FingerprintStore | Path | str | None" = None,
@@ -137,9 +102,8 @@ def batch_run(
     set, results persist in the fingerprint store and ``shard``/``resume``
     /``steal`` gain their campaign semantics (docs/campaigns.md)."""
     writer = _trace_progress(trace_dir)
-    results = _run_specs(specs, cache, workers, writer, store=store,
-                         shard=shard, resume=resume, campaign=campaign,
-                         steal=steal)
+    results = _run_specs(specs, workers, writer, store=store, shard=shard,
+                         resume=resume, campaign=campaign, steal=steal)
     if writer is not None:
         writer.finish()
     return dict(zip(specs, results))
@@ -150,14 +114,10 @@ def sweep(
     benches: Sequence[str] = BENCHES,
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     seed: int = 0,
     workers: int = 1,
-    sanitize: bool = False,
-    trace: bool = False,
+    options: ExecOptions = ExecOptions(),
     trace_dir: Optional["Path | str"] = None,
-    backend: str = "reference",
-    options: Optional[ExecOptions] = None,
     store: "FingerprintStore | Path | str | None" = None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
@@ -166,23 +126,17 @@ def sweep(
 ) -> dict[str, dict[str, RunResult]]:
     """results[workload][arch] for the full cross product.
 
-    ``options`` supersedes the flat ``sanitize``/``trace``/``backend``
-    shims (mixing the two is an error).  ``store``/``shard``/``resume``
-    /``steal`` run the sweep as a persistent campaign (docs/campaigns.md)."""
-    if options is None:
-        options = ExecOptions(sanitize=sanitize, trace=trace, backend=backend)
-    elif (sanitize, trace, backend) != (False, False, "reference"):
-        raise TypeError("sweep(): pass either options= or flat flags, not both")
+    ``trace_dir`` receives the artifacts of traced runs
+    (``options.trace``); ``store``/``shard``/``resume``/``steal`` run the
+    sweep as a persistent campaign (docs/campaigns.md)."""
     specs = cross(arches, benches, config=config, n_records=n_records, seed=seed,
                   options=options)
-    writer = _trace_progress(trace_dir if options.trace else None)
-    results = _run_specs(specs, cache, workers, writer, store=store,
-                         shard=shard, resume=resume, campaign=campaign,
-                         steal=steal)
-    if writer is not None:
-        writer.finish()
+    results = batch_run(specs, workers=workers,
+                        trace_dir=trace_dir if options.trace else None,
+                        store=store, shard=shard, resume=resume,
+                        campaign=campaign, steal=steal)
     out: dict[str, dict[str, RunResult]] = {wl: {} for wl in benches}
-    for spec, result in zip(specs, results):
+    for spec, result in results.items():
         out[spec.workload][spec.arch] = result
     return out
 
@@ -267,7 +221,3 @@ class ExperimentResult:
         for n in self.notes:
             parts.append(f"*{n}*")
         return "\n\n".join(parts)
-
-
-def default_cache() -> ResultCache:
-    return ResultCache(Path(".repro_cache"))

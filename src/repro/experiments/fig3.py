@@ -21,7 +21,7 @@ from repro.experiments.common import (
     geomean,
     sweep,
 )
-from repro.sim.cache import ResultCache
+from repro.sim.options import ExecOptions
 
 #: the paper's headline averages (% improvement of Millipede)
 PAPER_MILLIPEDE_OVER_GPGPU = 2.35
@@ -31,20 +31,16 @@ PAPER_MILLIPEDE_OVER_SSMC = 1.35
 def run_experiment(
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    options: ExecOptions = ExecOptions(),
     workers: int = 1,
-    sanitize: bool = False,
-    trace: bool = False,
     trace_dir=None,
-    backend: str = "reference",
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
     steal: Optional[bool] = None,
 ) -> ExperimentResult:
-    results = sweep(FIG3_ARCHES, BENCHES, config, n_records, cache,
-                    workers=workers, sanitize=sanitize, trace=trace,
-                    trace_dir=trace_dir, backend=backend, store=store,
+    results = sweep(FIG3_ARCHES, BENCHES, config, n_records, workers=workers,
+                    options=options, trace_dir=trace_dir, store=store,
                     shard=shard, resume=resume, campaign="fig3",
                     steal=steal)
 

@@ -21,7 +21,6 @@ from typing import Optional
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.experiments.common import BENCHES, ExperimentResult, batch_run, geomean
 from repro.mapreduce.host import node_reduce_seconds
-from repro.sim.cache import ResultCache
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 
@@ -31,26 +30,22 @@ PAPER_ENERGY_DELAY = 125.0
 def run_experiment(
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    options: ExecOptions = ExecOptions(),
     workers: int = 1,
-    sanitize: bool = False,
-    trace: bool = False,
     trace_dir=None,
-    backend: str = "reference",
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
     steal: Optional[bool] = None,
 ) -> ExperimentResult:
-    opts = ExecOptions(sanitize=sanitize, trace=trace, backend=backend)
     specs = {
         (a, wl): RunSpec(a, wl, config=config, n_records=n_records,
-                         options=opts)
+                         options=options)
         for wl in BENCHES
         for a in ("millipede-rm", "multicore")
     }
-    results = batch_run(list(specs.values()), cache=cache, workers=workers,
-                        trace_dir=trace_dir if trace else None, store=store,
+    results = batch_run(list(specs.values()), workers=workers,
+                        trace_dir=trace_dir if options.trace else None, store=store,
                         shard=shard, resume=resume, campaign="fig5",
                         steal=steal)
     rows = []

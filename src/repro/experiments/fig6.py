@@ -12,7 +12,6 @@ from typing import Optional
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.experiments.common import BENCHES, ExperimentResult, batch_run, geomean
-from repro.sim.cache import ResultCache
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 
@@ -23,28 +22,24 @@ ARCHES = ["gpgpu", "ssmc", "millipede"]
 def run_experiment(
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    options: ExecOptions = ExecOptions(),
     workers: int = 1,
-    sanitize: bool = False,
-    trace: bool = False,
     trace_dir=None,
-    backend: str = "reference",
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
     steal: Optional[bool] = None,
 ) -> ExperimentResult:
-    opts = ExecOptions(sanitize=sanitize, trace=trace, backend=backend)
     # one batch across both system sizes (specs carry their own config)
     specs = {
         (size, a, wl): RunSpec(a, wl, config=config.scaled_system_size(size),
-                               n_records=n_records, options=opts)
+                               n_records=n_records, options=options)
         for size in SIZES
         for wl in BENCHES
         for a in ARCHES
     }
-    batch = batch_run(list(specs.values()), cache=cache, workers=workers,
-                      trace_dir=trace_dir if trace else None, store=store,
+    batch = batch_run(list(specs.values()), workers=workers,
+                      trace_dir=trace_dir if options.trace else None, store=store,
                       shard=shard, resume=resume, campaign="fig6",
                       steal=steal)
     # results[size][arch][wl]

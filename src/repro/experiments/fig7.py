@@ -16,7 +16,6 @@ from typing import Optional
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.experiments.common import ExperimentResult, batch_run, geomean
-from repro.sim.cache import ResultCache
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 
@@ -29,18 +28,14 @@ FIG7_BENCHES = ["count", "sample", "nbayes", "kmeans", "varwork"]
 def run_experiment(
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    options: ExecOptions = ExecOptions(),
     workers: int = 1,
-    sanitize: bool = False,
-    trace: bool = False,
     trace_dir=None,
-    backend: str = "reference",
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
     steal: Optional[bool] = None,
 ) -> ExperimentResult:
-    opts = ExecOptions(sanitize=sanitize, trace=trace, backend=backend)
     specs = {}
     for entries in ENTRY_COUNTS:
         cfg = config.with_millipede(
@@ -49,9 +44,9 @@ def run_experiment(
         )
         for wl in FIG7_BENCHES:
             specs[entries, wl] = RunSpec("millipede", wl, config=cfg,
-                                         n_records=n_records, options=opts)
-    batch = batch_run(list(specs.values()), cache=cache, workers=workers,
-                      trace_dir=trace_dir if trace else None, store=store,
+                                         n_records=n_records, options=options)
+    batch = batch_run(list(specs.values()), workers=workers,
+                      trace_dir=trace_dir if options.trace else None, store=store,
                       shard=shard, resume=resume, campaign="fig7",
                       steal=steal)
     tput: dict[str, dict[int, float]] = {wl: {} for wl in FIG7_BENCHES}

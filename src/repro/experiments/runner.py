@@ -5,7 +5,7 @@ Examples::
     python -m repro.experiments table4
     python -m repro.experiments fig3 --records 8192 --jobs 4
     python -m repro.experiments all --records 16384 --write-md
-    millipede-exp fig7 --no-cache
+    millipede-exp fig7 --no-resume
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from pathlib import Path
 
 from repro.config import DEFAULT_CONFIG
 from repro.experiments import EXPERIMENTS
-from repro.experiments.common import ShardIncomplete, default_cache
+from repro.experiments.common import ShardIncomplete
 from repro.experiments.report import write_markdown
 from repro.sim.campaign import parse_shard
+from repro.sim.options import ExecOptions
 from repro.sim.store import FingerprintStore
 
 
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach repro.trace to every simulation and write Chrome "
         "trace-event JSON + timeline/profile CSVs per run, plus a "
         "campaign index.json, under DIR (default: traces/); same "
-        "results, slower, and traced runs bypass the result cache",
+        "results, slower, and traced runs always re-simulate",
     )
     p.add_argument(
         "--backend",
@@ -78,27 +79,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--store",
         metavar="DIR",
-        default=None,
-        help="persistent fingerprint store (docs/campaigns.md): completed "
-        "specs are recorded durably under DIR and never re-simulated - a "
-        "killed run resumes where its store left off, independent "
-        "processes/hosts merge through the same DIR, and after a config "
-        "change only specs whose fingerprints changed are re-simulated; "
-        "supersedes the session result cache",
+        default=".repro_cache",
+        help="persistent fingerprint store (docs/campaigns.md; default: "
+        ".repro_cache): completed specs are recorded durably under DIR "
+        "and never re-simulated - a killed run resumes where its store "
+        "left off, independent processes/hosts merge through the same "
+        "DIR, and after a config change only specs whose fingerprints "
+        "changed are re-simulated",
     )
     p.add_argument(
         "--resume",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="with --store: serve fingerprints already in the store "
-        "(default); --no-resume re-simulates every spec while still "
-        "recording the fresh results",
+        help="serve fingerprints already in the store (default); "
+        "--no-resume re-simulates every spec while still recording the "
+        "fresh results",
     )
     p.add_argument(
         "--shard",
         metavar="I/N",
         default=None,
-        help="with --store: run the I-th of N round-robin slices of the "
+        help="run the I-th of N round-robin slices of the "
         "campaign's deduplicated spec list (1-based, e.g. 2/3); shards "
         "merge through the shared store, and the table prints once "
         "every shard's work is recorded; by default the slice is a "
@@ -108,20 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--steal",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="with --store: claim pending specs through atomic lease "
+        help="claim pending specs through atomic lease "
         "files so an idle shard steals a straggler's (or a killed "
         "shard's) unclaimed work (default: on whenever --shard is "
         "given); --no-steal restores the static hard-assignment split",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-simulate even if a cached result exists",
-    )
-    p.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="drop the on-disk result cache first",
     )
     p.add_argument(
         "--write-md",
@@ -141,28 +132,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be >= 0 (0 = one worker per CPU)")
     shard = None
     if args.shard is not None:
-        if args.store is None:
-            parser.error("--shard requires --store (shards merge through "
-                         "the shared fingerprint store)")
         try:
             shard = parse_shard(args.shard)
         except ValueError as exc:
             parser.error(str(exc))
-    if args.steal is not None and args.store is None:
-        parser.error("--steal/--no-steal requires --store (leases live in "
-                     "the shared fingerprint store)")
     # one store instance for the whole invocation (experiments share its
     # segment), closed before exiting - no leaked descriptors
-    store = FingerprintStore(args.store) if args.store is not None else None
-    # the durable store supersedes the session cache: one result tier
-    cache = None if (args.no_cache or store is not None) else default_cache()
-    if args.clear_cache and cache is not None:
-        n = cache.clear()
-        print(f"cleared {n} cached results")
+    store = FingerprintStore(args.store)
 
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     names = list(EXPERIMENTS) if args.which == "all" else [args.which]
     trace_dir = Path(args.trace) if args.trace is not None else None
+    options = ExecOptions(sanitize=args.sanitize, trace=trace_dir is not None,
+                          backend=args.backend)
     results = []
     incomplete = []
     try:
@@ -170,12 +152,9 @@ def main(argv: list[str] | None = None) -> int:
             t0 = time.perf_counter()
             try:
                 res = EXPERIMENTS[name].run_experiment(
-                    DEFAULT_CONFIG, n_records=args.records, cache=cache,
+                    DEFAULT_CONFIG, n_records=args.records, options=options,
                     workers=jobs,
-                    sanitize=args.sanitize,
-                    trace=trace_dir is not None,
                     trace_dir=trace_dir / name if trace_dir is not None else None,
-                    backend=args.backend,
                     store=store,
                     shard=shard,
                     resume=args.resume,
@@ -189,8 +168,7 @@ def main(argv: list[str] | None = None) -> int:
             print(res.text())
             print(f"[{name} took {time.perf_counter() - t0:.1f}s]\n")
     finally:
-        if store is not None:
-            store.close()
+        store.close()
     if trace_dir is not None:
         print(f"trace artifacts under {trace_dir}/ (load the *.trace.json "
               "files in chrome://tracing or https://ui.perfetto.dev)")

@@ -10,7 +10,7 @@ from typing import Optional
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.experiments.common import ExperimentResult
-from repro.sim.cache import ResultCache
+from repro.sim.options import ExecOptions
 
 #: (parameter, paper value, getter)
 _ROWS = [
@@ -38,12 +38,9 @@ _ROWS = [
 def run_experiment(
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    options: ExecOptions = ExecOptions(),
     workers: int = 1,
-    sanitize: bool = False,
-    trace: bool = False,
     trace_dir=None,
-    backend: str = "reference",
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,

@@ -2,7 +2,6 @@
 with :data:`repro.lint.core.REGISTRY`."""
 
 from repro.lint.rules import (  # noqa: F401
-    api_options,
     determinism,
     fs_safety,
     hooks,

@@ -2,7 +2,7 @@
 
 The paper's flow-control and rate-matching results rest on bit-identical
 re-execution: ``run_batch(specs, workers=N)`` promises the same counters
-for any ``N``, the result cache keys on a content hash of the spec, and
+for any ``N``, the fingerprint store keys on a content hash of the spec, and
 the determinism regression diffs ``Stats.sorted_dump`` across runs.  Any
 unseeded RNG, wall-clock read, or set-iteration order reaching sim state
 silently breaks all three.

@@ -7,7 +7,7 @@ worker mutate the *worker's* copy only, so the parent silently never sees
 the write.  Both failure modes surface far from their cause (or not at
 all), which makes them lint material.
 
-``run_batch``'s ``progress=`` and ``cache=`` keywords are exempt from
+``run_batch``'s ``progress=`` and ``store=`` keywords are exempt from
 PICK001: both are documented parent-side-only (workers never receive
 them), so closures there are fine.
 
@@ -37,7 +37,7 @@ _POOL_METHODS = {"imap", "imap_unordered", "map_async", "starmap",
 #: ``.map``/``.submit`` are common enough to need a pool-ish receiver name
 _POOL_METHODS_GUARDED = {"map", "submit"}
 #: run_batch kwargs that stay in the parent process
-_PARENT_SIDE_KWARGS = {"progress", "cache"}
+_PARENT_SIDE_KWARGS = {"progress", "store"}
 
 
 def _pool_receiver(func: ast.Attribute) -> bool:

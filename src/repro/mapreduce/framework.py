@@ -15,10 +15,11 @@ from typing import Optional
 
 import numpy as np
 
+from repro.api import run
 from repro.config import DEFAULT_CONFIG, WORD_BYTES, SystemConfig
 from repro.mapreduce.host import node_reduce_seconds
 from repro.mapreduce.shuffle import ClusterModel
-from repro.sim.driver import RunResult, run
+from repro.sim.driver import RunResult
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 

@@ -7,9 +7,9 @@ the component's own bookkeeping.  A broken invariant raises a structured
 :class:`InvariantViolation` carrying the component path and a diagnostic
 state snapshot.
 
-Enable it per run with ``RunSpec(..., sanitize=True)``, the ``sanitize=``
-keyword of :func:`repro.sim.driver.run`, or the ``--sanitize`` flag of the
-experiment runner.  Sanitized runs produce byte-identical statistics and
+Enable it per run with ``ExecOptions(sanitize=True)`` (the ``options``
+of a :class:`~repro.sim.spec.RunSpec` or of :func:`repro.api.run`), or the
+``--sanitize`` flag of the experiment runner.  Sanitized runs produce byte-identical statistics and
 metrics to unsanitized runs: observers never mutate simulation state and
 the sanitizer keeps all of its counters private.
 

@@ -1,21 +1,20 @@
-"""Campaign runner: deduplicated, cached, multiprocess batches of RunSpecs.
+"""Campaign runner: deduplicated, stored, multiprocess batches of RunSpecs.
 
 Every figure/table sweep is a cross product of independent simulations,
 each a pure function of its :class:`RunSpec`.  :func:`run_batch` exploits
 that:
 
 * **dedup** - identical specs (by content hash) are simulated once,
-* **cache** - the parent process consults/populates a result tier (the
-  session-scoped :class:`~repro.sim.cache.ResultCache` or the durable
+* **store** - the parent process consults/populates the result tier (a
   :class:`~repro.sim.store.FingerprintStore`) before and after dispatch,
-  so workers never touch the cache directory (no concurrent-write races),
-* **fan-out** - cache misses are distributed over a ``multiprocessing``
+  so workers never touch the store directory,
+* **fan-out** - store misses are distributed over a ``multiprocessing``
   pool; each worker keeps a per-process :class:`BuiltWorkload` memo keyed
   by :meth:`RunSpec.build_key`, so the dataset/kernel for one
   (workload, threads, barriers, traversal) group is built once per worker
-  (the same reuse ``run_many`` performs in-process),
+  (serial batches share one memo the same way),
 * **progress** - an optional callback receives a :class:`BatchProgress`
-  event as each result lands (cache hits first, then live results in
+  event as each result lands (store hits first, then live results in
   completion order), carrying cumulative hit/miss counters.
 
 Simulations are deterministic, so ``run_batch(specs, workers=N)`` returns
@@ -53,10 +52,9 @@ import dataclasses
 import multiprocessing
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.sim.cache import ResultCache
 from repro.sim.driver import RunResult, _execute
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
@@ -78,10 +76,10 @@ class BatchProgress:
 
     spec: RunSpec
     result: RunResult
-    cached: bool  #: served from the cache/store tier without simulating
+    cached: bool  #: served from the store without simulating
     done: int  #: completed unique specs so far (including this one)
     total: int  #: unique specs in the batch
-    #: cumulative cache/store hits so far (including this event when
+    #: cumulative store hits so far (including this event when
     #: ``cached``); in a resumed campaign this is the resumed-spec count
     hits: int = 0
 
@@ -93,14 +91,14 @@ class BatchProgress:
     @property
     def host_seconds(self) -> float:
         """Host wall-clock *this batch* spent on the spec: the live
-        simulation's wall-clock, or 0.0 for cache hits (the cached
+        simulation's wall-clock, or 0.0 for store hits (the stored
         result's own wall-clock is :attr:`sim_host_seconds`)."""
         return 0.0 if self.cached else self.result.host_seconds
 
     @property
     def sim_host_seconds(self) -> float:
         """Wall-clock of the simulation that produced the result - this
-        batch's, or the original run that populated the cache."""
+        batch's, or the original run that populated the store."""
         return self.result.host_seconds
 
     def __str__(self) -> str:
@@ -115,20 +113,10 @@ def cross(
     config: SystemConfig = DEFAULT_CONFIG,
     n_records: Optional[int] = None,
     seed: int = 0,
-    validate: bool = True,
-    sanitize: bool = False,
-    trace: bool = False,
-    options: Optional[ExecOptions] = None,
+    options: ExecOptions = ExecOptions(),
 ) -> list[RunSpec]:
     """Specs for the full arch x workload cross product, workload-major
-    (matches the figures' iteration order).
-
-    ``options`` supersedes the flat ``validate``/``sanitize``/``trace``
-    flags (kept as a compatibility shim; mixing the two is an error)."""
-    if options is None:
-        options = ExecOptions(validate=validate, sanitize=sanitize, trace=trace)
-    elif (validate, sanitize, trace) != (True, False, False):
-        raise TypeError("cross(): pass either options= or flat flags, not both")
+    (matches the figures' iteration order)."""
     return [
         RunSpec(a, wl, config=config, n_records=n_records, seed=seed,
                 options=options)
@@ -162,7 +150,7 @@ def _run_with_memo(spec: RunSpec, memo: dict[tuple, BuiltWorkload]) -> RunResult
 
 
 def _pool_run(item: tuple[str, RunSpec]) -> tuple[str, RunResult]:
-    """Top-level worker entry (must be picklable); cache-oblivious."""
+    """Top-level worker entry (must be picklable); store-oblivious."""
     spec_hash, spec = item
     return spec_hash, _run_with_memo(spec, _WORKER_MEMO)
 
@@ -170,17 +158,17 @@ def _pool_run(item: tuple[str, RunSpec]) -> tuple[str, RunResult]:
 def run_batch(
     specs: Iterable[RunSpec],
     workers: int = 1,
-    cache: Optional[ResultCache] = None,
+    store: "FingerprintStore | _WriteOnlyTier | None" = None,
     progress: Optional[Callable[[BatchProgress], None]] = None,
 ) -> list[RunResult]:
     """Run a batch of specs, returning results aligned with ``specs``.
 
-    ``workers > 1`` fans cache misses out over a process pool; ``workers
+    ``workers > 1`` fans store misses out over a process pool; ``workers
     <= 1`` runs serially in-process.  Duplicate specs are simulated once
-    and share one result object.  ``cache`` is any result tier with
-    ``get_spec``/``put_spec`` (a :class:`ResultCache` or a durable
-    :class:`~repro.sim.store.FingerprintStore`); it is consulted and
-    populated only from the calling process.
+    and share one result object.  ``store`` (a
+    :class:`~repro.sim.store.FingerprintStore`, or :func:`run_campaign`'s
+    write-only view of one) is consulted and populated only from the
+    calling process.
     """
     specs = list(specs)
     for spec in specs:
@@ -203,19 +191,18 @@ def run_batch(
         results[spec_hash] = result
         done += 1
         hits += cached
-        if not cached and cache is not None:
-            spec = unique[spec_hash]
-            cache.put_spec(spec, result)
+        if not cached and store is not None:
+            store.put_spec(unique[spec_hash], result)
         if progress is not None:
             progress(BatchProgress(unique[spec_hash], result, cached, done,
                                    total, hits))
 
     pending: list[tuple[str, RunSpec]] = []
     for spec_hash, spec in unique.items():
-        # traced specs always simulate: a cached RunResult carries no
+        # traced specs always simulate: a stored RunResult carries no
         # trace, and the trace artifact is the point of the run
-        hit = (cache.get_spec(spec)
-               if cache is not None and not spec.trace else None)
+        hit = (store.get_spec(spec)
+               if store is not None and not spec.trace else None)
         if hit is not None:
             _finish(spec_hash, hit, cached=True)
         else:
@@ -499,7 +486,7 @@ def _run_stealing(
                 wave_cached.add(event.spec.content_hash())
 
         batch = run_batch([spec for _, spec in wave], workers=workers,
-                          cache=tier, progress=forward)
+                          store=tier, progress=forward)
         for (fp, spec), result in zip(wave, batch):
             results[fp] = result
             store.release_claim(fp)
@@ -574,7 +561,7 @@ def run_campaign(
                 lease_s, tally)
         else:
             tier = store if resume else _WriteOnlyTier(store)
-            batch = run_batch(plan.specs, workers=workers, cache=tier,
+            batch = run_batch(plan.specs, workers=workers, store=tier,
                               progress=tally)
             results = dict(zip(plan.fingerprints, batch))
             stolen = 0

@@ -1,24 +1,13 @@
 """One-call simulation runs.
 
-``run("millipede", "count")`` builds the workload, instantiates the
+``run(RunSpec("millipede", "count"))`` builds the workload, instantiates the
 architecture on a fresh event engine, executes to completion, validates
 the simulated reduction against the golden NumPy result, and returns a
 :class:`RunResult` with timing, counters, and the energy breakdown.
 
-Entry points
-------------
-==================================  ===================================
-call                                use case
-==================================  ===================================
-``run(RunSpec(...))``               one run from a frozen, serializable
-                                    spec (the canonical form)
-``run(arch, workload, ...)``        legacy positional form; builds the
-                                    ``RunSpec`` for you
-``run_many(arches, workload)``      one workload across architectures,
-                                    sharing the built dataset/kernel
-``campaign.run_batch(specs, ...)``  deduplicated, cached, multiprocess
-                                    fan-out over arbitrary spec lists
-==================================  ===================================
+This module executes exactly one :class:`RunSpec`: ``run(spec)``.  The
+public entry points - one run from *what* arguments, batches, sweeps and
+persistent campaigns - are in :mod:`repro.api`.
 
 Architecture keys
 -----------------
@@ -41,22 +30,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.arch.gpgpu import GpgpuSM
 from repro.arch.multicore import MulticoreProcessor
 from repro.arch.ssmc import SsmcProcessor
 from repro.arch.vws import VwsRowSM, VwsSM
-from repro.config import DEFAULT_CONFIG, SystemConfig
+from repro.config import SystemConfig
 from repro.core.millipede import MillipedeProcessor
 from repro.dram.dram import GlobalMemory
 from repro.energy.model import EnergyBreakdown, compute_energy
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 from repro.workloads.base import BuiltWorkload, Workload
-from repro.workloads.registry import WORKLOADS, get_workload
+from repro.workloads.registry import get_workload
 
 
 def _millipede_cfg(cfg: SystemConfig, **kw) -> SystemConfig:
@@ -127,7 +115,7 @@ class RunResult:
     host_seconds: float
     reduced: dict = dc_field(default_factory=dict)
     #: :class:`repro.trace.TraceResult` when the spec had ``trace=True``;
-    #: None otherwise (and always None for cache-served results)
+    #: None otherwise (and always None for store-served results)
     trace: Optional[object] = None
 
     # ------------------------------------------------------------------
@@ -181,71 +169,30 @@ class RunResult:
 
 
 def run(
-    arch: Union[str, RunSpec],
-    workload: Union[str, Workload, None] = None,
-    config: SystemConfig = DEFAULT_CONFIG,
-    n_records: Optional[int] = None,
-    seed: int = 0,
-    validate: bool = True,
+    spec: RunSpec,
+    *,
     built: Optional[BuiltWorkload] = None,
-    sanitize: bool = False,
-    trace: bool = False,
-    backend: str = "reference",
-    options: Optional[ExecOptions] = None,
-    trace_interval_ps: Optional[int] = None,
     probe: Optional[Callable] = None,
+    trace_interval_ps: Optional[int] = None,
 ) -> RunResult:
-    """Simulate one :class:`RunSpec` (or the legacy positional form) and
-    validate the result.
+    """Simulate one :class:`RunSpec` and validate the result.
 
-    This is the legacy entry point kept for compatibility; new code
-    should prefer :func:`repro.api.run`, which takes an
-    :class:`~repro.sim.options.ExecOptions`.  Passing ``options=`` here
-    supersedes the flat ``validate``/``sanitize``/``trace``/``backend``
-    flags (mixing non-default flags with ``options`` is an error).
-
-    ``run(RunSpec(...))`` is the canonical entry point;
-    ``run("millipede", "count", ...)`` builds the spec for you and also
-    accepts an unregistered :class:`Workload` *object*.  Pass ``built``
-    to reuse a prepared workload (e.g. across the architectures of one
-    figure) - it must have been built with the matching thread count.
-
-    ``sanitize=True`` attaches :class:`repro.sanitize.SimSanitizer`
-    runtime invariant checking; violations raise
-    :class:`repro.sanitize.InvariantViolation`.  ``trace=True`` attaches
-    :class:`repro.trace.SimTracer` timeline sampling + host profiling
-    (both observers compose in one run) and fills the result's ``trace``
-    field; ``trace_interval_ps`` overrides the sampling cadence.
+    Pass ``built`` to reuse a prepared workload (e.g. across the
+    architectures of one figure) - it must have been built with the
+    matching thread count.  ``spec.sanitize`` attaches
+    :class:`repro.sanitize.SimSanitizer` runtime invariant checking
+    (violations raise :class:`repro.sanitize.InvariantViolation`);
+    ``spec.trace`` attaches :class:`repro.trace.SimTracer` timeline
+    sampling + host profiling and fills the result's ``trace`` field,
+    with ``trace_interval_ps`` overriding the sampling cadence.
     ``probe(proc, engine, sanitizer)`` is called after construction and
-    before the first event (tests use it to install fault injectors); it
-    keeps ``run`` usable from tests without exposing internals.
+    before the first event (tests use it to install fault injectors).
     """
-    if isinstance(arch, RunSpec):
-        if workload is not None:
-            raise TypeError(
-                "run(RunSpec) takes no separate workload argument; "
-                "put the workload name in the spec"
-            )
-        spec = arch
-        wl = get_workload(spec.workload)
-    else:
-        wl = get_workload(workload) if isinstance(workload, str) else workload
-        if wl is None:
-            raise TypeError("run(arch, workload): workload is required")
-        if options is None:
-            options = ExecOptions(validate=validate, sanitize=sanitize,
-                                  trace=trace, backend=backend)
-        elif not (validate, sanitize, trace, backend) == (True, False, False, "reference"):
-            raise TypeError("run(): pass either options= or flat flags, not both")
-        spec = RunSpec(
-            arch=arch,
-            workload=wl.name,
-            config=config,
-            n_records=n_records,
-            seed=seed,
-            options=options,
-        )
-    return _execute(spec, wl, built, probe=probe,
+    if not isinstance(spec, RunSpec):
+        raise TypeError(
+            f"driver.run takes a RunSpec, got {type(spec).__name__}; "
+            "use repro.api.run(arch, workload, ...) to build one")
+    return _execute(spec, get_workload(spec.workload), built, probe=probe,
                     trace_interval_ps=trace_interval_ps)
 
 
@@ -327,7 +274,7 @@ def _execute(
         sanitizer.finalize(proc)
     if not proc.done:
         raise RuntimeError(
-            f"{arch}/{wl.name}: event queue drained but the processor never "
+            f"{spec}: event queue drained but the processor never "
             "finished (likely a blocked-thread deadlock)"
         )
 
@@ -361,55 +308,3 @@ def _execute(
         reduced=reduced,
         trace=trace_result,
     )
-
-
-def run_many(
-    arches: list[str],
-    workload: Union[str, Workload],
-    config: SystemConfig = DEFAULT_CONFIG,
-    n_records: Optional[int] = None,
-    seed: int = 0,
-    validate: bool = True,
-) -> dict[str, RunResult]:
-    """Run one workload across several architectures, reusing the built
-    dataset/kernel wherever thread counts agree.
-
-    Registered workloads route through :func:`repro.sim.campaign.run_batch`
-    (serially), so they share its dedup/build-reuse machinery; unregistered
-    :class:`Workload` objects keep the in-process shared-build loop.
-    """
-    wl = get_workload(workload) if isinstance(workload, str) else workload
-    if wl.name in WORKLOADS:
-        from repro.sim.campaign import run_batch
-
-        specs = [
-            RunSpec(a, wl.name, config=config, n_records=n_records,
-                    seed=seed, options=ExecOptions(validate=validate))
-            for a in arches
-        ]
-        return dict(zip(arches, run_batch(specs, workers=1)))
-
-    results: dict[str, RunResult] = {}
-    shared: dict[tuple[int, bool, str], BuiltWorkload] = {}
-    for arch in arches:
-        _, transform, needs_barriers, _ = ARCHITECTURES[arch]
-        cfg = transform(config)
-        if arch == "multicore":
-            n_threads = cfg.multicore.n_cores * cfg.multicore.n_threads
-        else:
-            n_threads = cfg.core.n_cores * cfg.core.n_threads
-        traversal = TRAVERSAL.get(arch, "chunked")
-        key = (n_threads, needs_barriers, traversal)
-        if key not in shared:
-            shared[key] = wl.build(
-                n_threads,
-                n_records=n_records,
-                block_records=cfg.dram.row_words,
-                seed=seed,
-                record_barrier=needs_barriers,
-                traversal=traversal,
-            )
-        results[arch] = run(
-            arch, wl, config=config, seed=seed, validate=validate, built=shared[key]
-        )
-    return results

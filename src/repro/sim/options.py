@@ -54,7 +54,7 @@ class ExecOptions:
     """How one simulation executes.  Frozen, keyword-only, hashable.
 
     Every field is part of the spec identity: sanitized, traced, and
-    fast-backend results are cached separately even though a clean run
+    fast-backend results are stored separately even though a clean run
     produces identical statistics under all of them.
     """
 

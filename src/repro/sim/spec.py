@@ -6,7 +6,7 @@ workload, config, record count, seed) plus *how* to execute it (an
 trace / backend) — that fully determines a simulation's outcome.  Because
 it is frozen, hashable, picklable, and carries a stable content hash, it
 is the unit the campaign runner (:mod:`repro.sim.campaign`) deduplicates,
-ships to worker processes, and keys the result cache on.
+ships to worker processes, and keys the fingerprint store on.
 
 >>> spec = RunSpec("millipede", "count", n_records=2048)
 >>> RunSpec.from_dict(spec.to_dict()) == spec
@@ -14,45 +14,30 @@ True
 >>> RunSpec("millipede", "count", options=ExecOptions(backend="vector")).backend
 'vector'
 
-Migration note (execution-options redesign)
--------------------------------------------
-The execution knobs used to be flat ``RunSpec`` fields.  The constructor,
-``replace``, ``to_dict``/``from_dict``, and read-only properties all still
-accept/expose the flat spelling (``RunSpec(..., sanitize=True)``,
-``spec.sanitize``), so existing callers and serialized specs keep working
-— but new code inside ``src/`` should pass ``options=ExecOptions(...)``;
-``repro.lint`` rule API001 flags flat-flag construction there.  Content
-hashes are unchanged: ``to_dict`` emits the pre-redesign flat keys, with
-``backend`` included only when non-default.
+Execution options serialize as flat wire keys (``validate``/``sanitize``/
+``trace``, plus ``backend`` when non-default) so content hashes - and
+every existing :class:`~repro.sim.store.FingerprintStore` - stay valid.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 from typing import Optional
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.sim.options import ExecOptions
 
-#: ExecOptions fields accepted as legacy flat keyword arguments by
-#: ``RunSpec(...)``, ``RunSpec.replace``, and ``RunSpec.from_dict``
-_OPTION_FLAGS = ("validate", "sanitize", "trace", "backend")
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RunSpec:
     """Everything that determines one simulation run.
 
     ``workload`` is a registry *name* (see :mod:`repro.workloads.registry`)
-    so specs stay serializable; unregistered :class:`Workload` objects can
-    still be run through the legacy ``run(arch, workload_obj)`` path.
-
-    Execution knobs live in ``options`` (:class:`ExecOptions`); the flat
-    keyword spelling (``validate=``/``sanitize=``/``trace=``/``backend=``)
-    is accepted for compatibility and folded into ``options``.  Mixing
-    ``options=`` with a flat flag is an error — one source of truth.
+    so specs stay serializable; an unregistered :class:`Workload` object
+    runs through :func:`repro.api.run` instead.  Execution knobs live in
+    ``options`` (:class:`ExecOptions`).
     """
 
     arch: str
@@ -62,56 +47,23 @@ class RunSpec:
     seed: int = 0
     options: ExecOptions = ExecOptions()
 
-    def __init__(
-        self,
-        arch: str,
-        workload: str,
-        config: SystemConfig = DEFAULT_CONFIG,
-        n_records: Optional[int] = None,
-        seed: int = 0,
-        options: Optional[ExecOptions] = None,
-        *,
-        validate: Optional[bool] = None,
-        sanitize: Optional[bool] = None,
-        trace: Optional[bool] = None,
-        backend: Optional[str] = None,
-    ):
-        flags = {
-            k: v
-            for k, v in (("validate", validate), ("sanitize", sanitize),
-                         ("trace", trace), ("backend", backend))
-            if v is not None
-        }
-        if options is None:
-            options = ExecOptions(**flags)
-        elif flags:
+    def __post_init__(self):
+        if not isinstance(self.options, ExecOptions):
             raise TypeError(
-                f"pass execution flags inside options=ExecOptions(...), "
-                f"not alongside it (got both options= and "
-                f"{', '.join(sorted(flags))})"
-            )
-        elif not isinstance(options, ExecOptions):
-            raise TypeError(f"options must be ExecOptions, got {type(options).__name__}")
-        object.__setattr__(self, "arch", arch)
-        object.__setattr__(self, "workload", workload)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "n_records", n_records)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "options", options)
-
+                f"options must be ExecOptions, got {type(self.options).__name__}")
         # lazy import: driver imports this module at load time
         from repro.sim.driver import ARCHITECTURES
 
-        if arch not in ARCHITECTURES:
+        if self.arch not in ARCHITECTURES:
             raise KeyError(
-                f"unknown architecture {arch!r}; "
+                f"unknown architecture {self.arch!r}; "
                 f"available: {', '.join(ARCHITECTURES)}"
             )
-        if n_records is not None and n_records <= 0:
-            raise ValueError(f"n_records must be positive, got {n_records}")
+        if self.n_records is not None and self.n_records <= 0:
+            raise ValueError(f"n_records must be positive, got {self.n_records}")
 
     # ------------------------------------------------------------------
-    # execution-option views (pre-redesign flat spelling, read-only)
+    # execution-option views (read-only)
     # ------------------------------------------------------------------
     @property
     def validate(self) -> bool:
@@ -192,22 +144,13 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        """Accepts both the current wire format (flat execution-option
-        keys) and an explicit nested ``"options"`` dict."""
+        """Inverse of :meth:`to_dict`: flat execution-option keys, any of
+        them absent in dicts written before that option existed."""
         data = dict(data)
         cfg = data.pop("config", None)
         config = SystemConfig.from_dict(cfg) if cfg is not None else DEFAULT_CONFIG
-        nested = data.pop("options", None)
-        flags = {k: data.pop(k) for k in _OPTION_FLAGS if k in data}
-        if nested is not None:
-            if flags:
-                raise ValueError(
-                    f"spec dict mixes nested 'options' with flat keys "
-                    f"{sorted(flags)}"
-                )
-            options = ExecOptions.from_dict(nested)
-        else:
-            options = ExecOptions(**flags)
+        options = ExecOptions.from_dict(
+            {f.name: data.pop(f.name) for f in fields(ExecOptions) if f.name in data})
         return cls(config=config, options=options, **data)
 
     def content_hash(self) -> str:
@@ -217,15 +160,7 @@ class RunSpec:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def replace(self, **kwargs) -> "RunSpec":
-        """Field-wise copy; accepts both real fields and the legacy flat
-        execution flags (routed into ``options``)."""
-        flags = {k: kwargs.pop(k) for k in _OPTION_FLAGS if k in kwargs}
-        if flags:
-            if "options" in kwargs:
-                raise TypeError(
-                    f"replace() got both options= and flat flags {sorted(flags)}"
-                )
-            kwargs["options"] = self.options.replace(**flags)
+        """Field-wise copy (``spec.replace(options=...)`` for the how)."""
         return dc_replace(self, **kwargs)
 
     def __str__(self) -> str:

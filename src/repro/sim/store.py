@@ -53,9 +53,9 @@ Crash and concurrency model
   ``python -m repro.tools store <dir> compact``); a segment that grows
   while compaction runs is left in place, not retired.
 
-The store is duck-compatible with the parent-process-only
-:class:`~repro.sim.cache.ResultCache` (``get_spec``/``put_spec``) and
-replaces it as the durable tier of :func:`~repro.sim.campaign.run_batch`.
+The store is the only result tier: :func:`~repro.sim.campaign.run_batch`
+consults it (``get_spec``) and records into it (``put_spec``) from the
+parent process only.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ _NAME_RE = re.compile(r"[^A-Za-z0-9_.-]+")
 
 
 # ----------------------------------------------------------------------
-# result serialization (shared with repro.sim.cache.ResultCache)
+# result serialization
 # ----------------------------------------------------------------------
 def result_to_payload(result: RunResult) -> dict:
     """JSON-portable dict of everything durable in a :class:`RunResult`.
@@ -330,7 +330,7 @@ class FingerprintStore:
         return fp
 
     def put_spec(self, spec: RunSpec, result: RunResult) -> str:
-        """ResultCache-compatible spelling of :meth:`put`."""
+        """:meth:`put`, under the name run_batch's result tier uses."""
         return self.put(spec, result)
 
     def close(self) -> None:

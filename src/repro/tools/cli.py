@@ -9,6 +9,8 @@ from repro.analysis import RooflineModel, analyze_history, attribute_bottleneck
 from repro.config import DEFAULT_CONFIG
 from repro.isa.instructions import BRANCH_OPS, GLOBAL_MEM_OPS, LOCAL_MEM_OPS
 from repro.sim.driver import ARCHITECTURES, run
+from repro.sim.options import ExecOptions
+from repro.sim.spec import RunSpec
 from repro.workloads.registry import get_workload, workload_names
 
 
@@ -27,32 +29,29 @@ def cmd_disasm(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    if args.store is not None and args.trace is None:
+    spec = RunSpec(args.arch, args.workload, n_records=args.records,
+                   options=ExecOptions(sanitize=args.sanitize,
+                                       trace=args.trace is not None))
+    if args.store is not None and not spec.trace:
         # durable path: serve the spec from the fingerprint store when its
         # record exists, simulate-and-record otherwise (traced runs always
         # simulate, so they take the live path below).  Inspection is not
         # a campaign: it must not write or clobber any manifest.
         from repro.sim.campaign import run_batch
-        from repro.sim.options import ExecOptions
-        from repro.sim.spec import RunSpec
         from repro.sim.store import FingerprintStore
 
-        spec = RunSpec(args.arch, args.workload, n_records=args.records,
-                       options=ExecOptions(sanitize=args.sanitize))
         with FingerprintStore(args.store) as store:
             result = store.get_spec(spec)
             if result is not None:
                 print(f"store: hit {spec.content_hash()[:12]} "
                       f"({len(store)} records in {store.root})")
             else:
-                result = run_batch([spec], cache=store)[0]
+                result = run_batch([spec], store=store)[0]
                 store.write_index()
                 print(f"store: miss {spec.content_hash()[:12]} - simulated "
                       f"and recorded ({len(store)} records in {store.root})")
     else:
-        result = run(args.arch, args.workload, n_records=args.records,
-                     sanitize=args.sanitize, trace=args.trace is not None,
-                     trace_interval_ps=args.trace_interval_ps)
+        result = run(spec, trace_interval_ps=args.trace_interval_ps)
     print(result.summary())
     if result.trace is not None:
         stem = f"{args.arch}-{args.workload}"

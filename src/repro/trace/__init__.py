@@ -9,9 +9,9 @@ The result is a :class:`TraceResult`: Chrome trace-event JSON (load in
 ``chrome://tracing`` or Perfetto), a timeline CSV, and a per-event-class
 host wall-clock profile.
 
-Enable it per run with ``RunSpec(..., trace=True)``, the ``trace=``
-keyword of :func:`repro.sim.driver.run`, or the ``--trace`` flags of the
-experiment and tools CLIs.  Traced runs produce byte-identical statistics
+Enable it per run with ``ExecOptions(trace=True)`` (the ``options`` of a
+:class:`~repro.sim.spec.RunSpec` or of :func:`repro.api.run`), or the
+``--trace`` flags of the experiment and tools CLIs.  Traced runs produce byte-identical statistics
 and metrics to untraced runs: observers never mutate simulation state and
 the sampler's events are read-only and never extend the run.
 

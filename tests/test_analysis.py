@@ -10,7 +10,7 @@ from repro.analysis import (
     attribute_bottleneck,
 )
 from repro.config import SystemConfig
-from repro.sim.driver import run
+from repro.api import run
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import run, sweep
 from repro.config import SystemConfig
-from repro.sim.driver import ARCHITECTURES, run, run_many
+from repro.sim import driver
+from repro.sim.driver import ARCHITECTURES
+from repro.sim.spec import RunSpec
 from repro.workloads.registry import workload_names
 
 SMALL = 2048
 FAST_ARCHES = ["gpgpu", "vws", "vws-row", "ssmc", "millipede",
                "millipede-nofc", "millipede-rm", "millipede-bar", "multicore"]
+
+
+def across(arches, workload, **kwargs):
+    """One workload on several arches (one batch), keyed by arch."""
+    return {arch: r for (arch, _), r in sweep(arches, [workload], **kwargs).items()}
 
 
 class TestEveryArchValidates:
@@ -52,7 +60,7 @@ class TestCrossArchEquivalence:
     def test_identical_reductions_across_architectures(self):
         """Same dataset, same kernel semantics -> same integer counters,
         whatever the memory system."""
-        results = run_many(["gpgpu", "ssmc", "millipede"], "nbayes", n_records=SMALL)
+        results = across(["gpgpu", "ssmc", "millipede"], "nbayes", n_records=SMALL)
         base = results["millipede"].reduced
         for arch in ("gpgpu", "ssmc"):
             got = results[arch].reduced
@@ -62,7 +70,7 @@ class TestCrossArchEquivalence:
     def test_instruction_counts_agree_across_mimd_archs(self):
         """MIMD models run the identical kernel on the identical data, so
         dynamic instruction counts must match exactly."""
-        results = run_many(["ssmc", "millipede"], "count", n_records=SMALL)
+        results = across(["ssmc", "millipede"], "count", n_records=SMALL)
         assert (results["ssmc"].collected["instructions"]
                 == results["millipede"].collected["instructions"])
 
@@ -80,7 +88,7 @@ class TestArchRegistry:
 
         built = get_workload("count").build(n_threads=8, n_records=512)
         with pytest.raises(ValueError, match="prebuilt"):
-            run("millipede", "count", built=built)
+            driver.run(RunSpec("millipede", "count"), built=built)
 
 
 class TestPaperDirections:
@@ -88,14 +96,14 @@ class TestPaperDirections:
     benchmarks/)."""
 
     def test_millipede_beats_gpgpu_on_branchy_benchmark(self):
-        results = run_many(["gpgpu", "millipede"], "count", n_records=8192)
+        results = across(["gpgpu", "millipede"], "count", n_records=8192)
         assert (results["millipede"].throughput_words_per_s
                 > results["gpgpu"].throughput_words_per_s)
 
     def test_flow_control_beats_none_under_work_variance(self):
         # tightened buffer so straying spans the queue at test scale
         cfg = SystemConfig().with_millipede(prefetch_entries=4, prefetch_ahead=3)
-        results = run_many(["millipede", "millipede-nofc"], "varwork",
+        results = across(["millipede", "millipede-nofc"], "varwork",
                            config=cfg, n_records=8192)
         assert (results["millipede"].throughput_words_per_s
                 > results["millipede-nofc"].throughput_words_per_s)

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.config import DEFAULT_CONFIG
 from repro.engine.calendar import CalendarQueue
 from repro.engine.events import Engine
 from repro.sim.driver import ARCHITECTURES, run
@@ -86,22 +87,24 @@ class TestExecOptions:
 
 
 class TestRunSpecOptions:
-    def test_flat_flags_build_options(self):
-        # the flat-flag shim is this class's subject; see docs/linting.md
-        s = RunSpec("millipede", "count",  # repro-lint: disable=API001
-                    sanitize=True, backend="vector")
-        assert s.options == ExecOptions(sanitize=True, backend="vector")
-        assert s.sanitize and s.backend == "vector"  # delegating properties
+    def test_flat_flags_rejected(self):
+        # execution knobs travel only inside options=ExecOptions(...)
+        with pytest.raises(TypeError):
+            RunSpec("millipede", "count", sanitize=True)
+        with pytest.raises(TypeError, match="ExecOptions"):
+            RunSpec("millipede", "count", options={"sanitize": True})
 
     def test_mixing_options_and_flags_rejected(self):
         with pytest.raises(TypeError):
-            RunSpec("millipede", "count",  # repro-lint: disable=API001
-                    options=ExecOptions(), sanitize=True)
+            RunSpec("millipede", "count", options=ExecOptions(), sanitize=True)
 
-    def test_replace_routes_option_flags(self):
+    def test_replace_takes_options(self):
         s = RunSpec("millipede", "count")
-        assert s.replace(backend="vector").options.backend == "vector"
+        vec = s.replace(options=s.options.replace(backend="vector"))
+        assert vec.options.backend == "vector"
         assert s.replace(n_records=64).n_records == 64
+        with pytest.raises(TypeError):
+            s.replace(backend="vector")
 
     def test_from_dict_accepts_pre_redesign_flat_dicts(self):
         old = {"arch": "millipede", "workload": "count",
@@ -113,23 +116,42 @@ class TestRunSpecOptions:
 
     def test_from_dict_round_trip(self):
         for s in (RunSpec("ssmc", "kmeans", n_records=512),
-                  RunSpec("millipede", "pca",  # repro-lint: disable=API001
-                          backend="vector", seed=7)):
+                  RunSpec("millipede", "pca", seed=7,
+                          options=ExecOptions(backend="vector"))):
             assert RunSpec.from_dict(s.to_dict()) == s
 
+    def test_from_dict_reads_store_wire_format(self):
+        # the flat dict FingerprintStore.put writes as a record's "spec";
+        # existing stores must deserialize to the same spec and hash
+        wire = {"arch": "millipede-rm", "workload": "kmeans",
+                "config": DEFAULT_CONFIG.as_canonical_dict(),
+                "n_records": 256, "seed": 1, "validate": True,
+                "sanitize": False, "trace": False, "backend": "vector"}
+        spec = RunSpec.from_dict(wire)
+        assert spec == RunSpec("millipede-rm", "kmeans", n_records=256, seed=1,
+                               options=ExecOptions(backend="vector"))
+        assert spec.to_dict() == wire
+        assert spec.content_hash() == "4dd57cbaf74342ba"
+
     def test_content_hash_pinned(self):
-        # regression pins: redesigns must not silently re-key the result
-        # cache / dedup machinery for pre-existing (reference) specs
+        # regression pins: redesigns must not silently re-key the
+        # fingerprint store / dedup machinery for pre-existing specs
         assert RunSpec("millipede", "count").content_hash() == "7a593d633e49baf2"
         assert (RunSpec("ssmc", "kmeans", n_records=4096, seed=3).content_hash()
                 == "8d6011450f6c9471")
+        assert (RunSpec("millipede", "count",
+                        options=ExecOptions(backend="vector")).content_hash()
+                == "934abd6dc8b87467")
+        assert (RunSpec("millipede", "count",
+                        options=ExecOptions(sanitize=True)).content_hash()
+                == "4d250a32da934383")
 
     def test_backend_changes_hash(self):
-        # different backend => different cache entry (results are
-        # identical, but the cache must not conflate what was run)
+        # different backend => different store record (results are
+        # identical, but the store must not conflate what was run)
         ref = RunSpec("millipede", "count")
-        vec = RunSpec("millipede", "count",  # repro-lint: disable=API001
-                      backend="vector")
+        vec = RunSpec("millipede", "count",
+                      options=ExecOptions(backend="vector"))
         assert ref.content_hash() != vec.content_hash()
 
 
@@ -143,20 +165,21 @@ class TestApiFacade:
             api.run(RunSpec("millipede", "count"), options=ExecOptions())
 
     def test_cache_bool_rejected(self):
-        # cache takes a ResultCache or None; a stray bool must fail at
-        # the facade, not as an AttributeError inside the campaign loop
+        # the result tier (store=) takes a FingerprintStore, a directory
+        # path or None; a stray bool must fail at the facade, not inside
+        # the campaign loop
         from repro import api
-        with pytest.raises(TypeError, match="ResultCache"):
+        with pytest.raises(TypeError, match="FingerprintStore"):
             api.run_batch([RunSpec("millipede", "count", n_records=N_RECORDS)],
-                          cache=False)
-        with pytest.raises(TypeError, match="ResultCache"):
+                          store=False)
+        with pytest.raises(TypeError, match="FingerprintStore"):
             api.sweep(["millipede"], ["count"], n_records=N_RECORDS,
-                      cache=True)
+                      store=True)
 
     def test_run_and_sweep_match_driver(self):
         from repro import api
         fast = ExecOptions(backend="vector")
-        ref = run("millipede", "kmeans", n_records=N_RECORDS)
+        ref = run(RunSpec("millipede", "kmeans", n_records=N_RECORDS))
         assert fingerprint(api.run("millipede", "kmeans",
                                    n_records=N_RECORDS,
                                    options=fast)) == fingerprint(ref)

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import run
 from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.sim.cache import ResultCache
 from repro.sim.campaign import BatchProgress, cross, run_batch
-from repro.sim.driver import RunResult, run
+from repro.sim.driver import RunResult
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
+from repro.sim.store import FingerprintStore
 
 N = 512  #: small enough to keep the multiprocess tests quick
 
@@ -104,14 +105,14 @@ class TestRunBatch:
         assert batch[0] is batch[1] is batch[2]
 
     def test_warm_cache_skips_all_simulation(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = FingerprintStore(tmp_path)
         specs = [RunSpec(a, wl, n_records=N) for a, wl in PAIRS]
         cold: list[BatchProgress] = []
-        first = run_batch(specs, workers=1, cache=cache, progress=cold.append)
+        first = run_batch(specs, workers=1, store=store, progress=cold.append)
         assert sum(not e.cached for e in cold) == len(specs)
 
         warm: list[BatchProgress] = []
-        second = run_batch(specs, workers=2, cache=cache, progress=warm.append)
+        second = run_batch(specs, workers=2, store=store, progress=warm.append)
         assert all(e.cached for e in warm)  # zero re-simulations
         for a, b in zip(first, second):
             assert a.finish_ps == b.finish_ps
@@ -120,13 +121,13 @@ class TestRunBatch:
     def test_cached_progress_reports_zero_host_seconds(self, tmp_path):
         # regression: host_seconds promised "0-ish for cache hits" but
         # returned the original simulation's wall-clock, inflating
-        # campaign ETA estimates on warm caches
-        cache = ResultCache(tmp_path)
+        # campaign ETA estimates on warm stores
+        store = FingerprintStore(tmp_path)
         spec = RunSpec("millipede", "count", n_records=N)
         cold: list[BatchProgress] = []
-        run_batch([spec], workers=1, cache=cache, progress=cold.append)
+        run_batch([spec], workers=1, store=store, progress=cold.append)
         warm: list[BatchProgress] = []
-        run_batch([spec], workers=1, cache=cache, progress=warm.append)
+        run_batch([spec], workers=1, store=store, progress=warm.append)
         assert not cold[0].cached and cold[0].host_seconds > 0
         assert cold[0].sim_host_seconds == cold[0].host_seconds
         assert warm[0].cached
@@ -170,15 +171,9 @@ class TestLegacySurface:
 
     def test_package_exports(self):
         import repro
+        from repro import api
 
         assert repro.RunSpec is RunSpec
-        assert repro.run_batch is run_batch
+        # the package's run entry points are the facade's
+        assert repro.run is api.run and repro.run_batch is api.run_batch
         assert "RunSpec" in repro.__all__ and "run_batch" in repro.__all__
-
-    def test_run_many_matches_batch(self):
-        from repro.sim.driver import run_many
-
-        many = run_many(["ssmc", "millipede"], "count", n_records=N)
-        batch = run_batch(cross(["ssmc", "millipede"], ["count"], n_records=N))
-        assert_same_simulation(many["ssmc"], batch[0])
-        assert_same_simulation(many["millipede"], batch[1])

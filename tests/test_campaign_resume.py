@@ -25,6 +25,7 @@ from repro.sim.campaign import (
     shard_specs,
 )
 from repro.sim.driver import RunResult, run
+from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 from repro.sim.store import FingerprintStore, canonical_result_blob
 
@@ -247,7 +248,7 @@ class TestDeltaCampaign:
         bit on timing/stats/energy."""
         plain = RunSpec("millipede", "count", n_records=256)
         run_campaign([plain], tmp_path)
-        checked = plain.replace(sanitize=True)
+        checked = plain.replace(options=ExecOptions(sanitize=True))
         plan = plan_campaign([plain, checked], tmp_path)
         assert [s.content_hash() for s in plan.to_run] == \
             [checked.content_hash()]
@@ -270,7 +271,7 @@ class TestDeltaCampaign:
     def test_traced_specs_always_resimulate(self, tmp_path):
         spec = RunSpec("millipede", "count", n_records=N)
         run_campaign([spec], tmp_path)
-        traced = spec.replace(trace=True)
+        traced = spec.replace(options=ExecOptions(trace=True))
         run_campaign([traced], tmp_path)
         plan = plan_campaign([traced], tmp_path)
         assert plan.to_run == [traced]  # stored records carry no trace
@@ -286,9 +287,9 @@ class TestCountersAndFacade:
     def test_batch_progress_hit_miss_counters(self, tmp_path):
         store = FingerprintStore(tmp_path)
         specs = cross(["ssmc", "millipede"], ["count"], n_records=N)
-        run_batch([specs[0]], cache=store)
+        run_batch([specs[0]], store=store)
         events: list[BatchProgress] = []
-        run_batch(specs, cache=store, progress=events.append)
+        run_batch(specs, store=store, progress=events.append)
         assert [(e.hits, e.misses) for e in events] == [(1, 0), (1, 1)]
         assert "hit" in str(events[0])
 
@@ -300,8 +301,7 @@ class TestCountersAndFacade:
         second = api.run_batch(specs, store=FingerprintStore(tmp_path))
         assert_same_outcome(first[0], second[0])
         with pytest.raises(TypeError):
-            api.run_batch(specs, store=tmp_path,
-                          cache=FingerprintStore(tmp_path))
+            api.run_batch(specs, store=True)
 
     def test_api_run_campaign_facade(self, tmp_path):
         from repro import api

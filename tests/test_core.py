@@ -191,7 +191,7 @@ class TestRateMatchController:
 
 class TestBarriers:
     def test_record_barriers_run_to_completion(self):
-        from repro.sim.driver import run
+        from repro.api import run
 
         r = run("millipede-bar", "count", n_records=2048)
         assert r.validated

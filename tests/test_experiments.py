@@ -10,13 +10,14 @@ from repro.experiments import EXPERIMENTS, table3
 from repro.experiments.common import (
     ExperimentResult,
     ascii_bars,
-    cached_run,
+    batch_run,
     format_table,
     geomean,
     markdown_table,
 )
 from repro.experiments.report import write_markdown
-from repro.sim.cache import ResultCache
+from repro.sim.spec import RunSpec
+from repro.sim.store import FingerprintStore
 
 
 class TestFormatting:
@@ -67,12 +68,13 @@ class TestRegistry:
 
 class TestCachedRun:
     def test_cache_hit_skips_simulation(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        first = cached_run("millipede", "count", n_records=1024, cache=cache)
-        second = cached_run("millipede", "count", n_records=1024, cache=cache)
-        assert second.finish_ps == first.finish_ps
-        # cached results are deserialized: host time is the original's
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        spec = RunSpec("millipede", "count", n_records=1024)
+        with FingerprintStore(tmp_path) as store:
+            first = batch_run([spec], store=store)[spec]
+            second = batch_run([spec], store=store)[spec]
+            assert second.finish_ps == first.finish_ps
+            # one record: the second run was served from the store
+            assert len(list(store.records())) == 1
 
 
 class TestReport:
@@ -92,9 +94,30 @@ class TestRunnerCli:
         args = p.parse_args(["table3", "--records", "512"])
         assert args.which == "table3" and args.records == 512
 
-    def test_cli_table3_runs(self, capsys):
+    def test_cli_table3_runs(self, capsys, tmp_path, monkeypatch):
         from repro.experiments.runner import main
 
+        monkeypatch.chdir(tmp_path)  # the default store lands in the CWD
         assert main(["table3"]) == 0
         out = capsys.readouterr().out
         assert "hardware parameters" in out
+
+    def test_cli_options_are_part_of_the_fingerprint(self, tmp_path,
+                                                     monkeypatch):
+        """A sanitized re-run after a plain one must simulate under the
+        sanitizer, not be served the plain run's results: every
+        execution option is part of the fingerprint the default store
+        keys on."""
+        from repro.experiments.runner import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["table4", "--records", "64"]) == 0
+        with FingerprintStore(".repro_cache") as store:
+            plain = set(store.fingerprints())
+        assert len(plain) == 16  # 8 workloads x (ssmc, millipede-rm)
+
+        assert main(["table4", "--records", "64", "--sanitize"]) == 0
+        with FingerprintStore(".repro_cache") as store:
+            specs = [RunSpec.from_dict(rec["spec"]) for rec in store.records()]
+        fresh = [s for s in specs if s.content_hash() not in plain]
+        assert len(fresh) == 16 and all(s.sanitize for s in fresh)

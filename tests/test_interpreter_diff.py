@@ -153,10 +153,11 @@ class TestSanitizedDifferentialSweep:
     def test_every_arch_every_workload_sanitized(self):
         from repro import ARCHITECTURES
         from repro.sim.campaign import cross, run_batch
+        from repro.sim.options import ExecOptions
         from repro.workloads.registry import workload_names
 
-        specs = cross(list(ARCHITECTURES), workload_names(),
-                      n_records=256, validate=True, sanitize=True)
+        specs = cross(list(ARCHITECTURES), workload_names(), n_records=256,
+                      options=ExecOptions(sanitize=True))
         results = run_batch(specs, workers=1)
         assert len(results) == len(specs)
         assert all(r.validated for r in results)

@@ -40,8 +40,7 @@ def rule_ids(report) -> list[str]:
 def test_registry_has_all_families():
     ids = set(all_rule_classes())
     assert {"DET001", "DET002", "DET003", "HOOK001", "HOOK002",
-            "STAT001", "STAT002", "PICK001", "PICK002", "PURE001",
-            "API001"} <= ids
+            "STAT001", "STAT002", "PICK001", "PICK002", "PURE001"} <= ids
     for rule_id, cls in all_rule_classes().items():
         assert cls.id == rule_id
         assert cls.name and cls.rationale
@@ -350,7 +349,7 @@ def test_pick001_local_function_into_pool_fires(tmp_path):
 
 
 def test_pick001_parent_side_progress_callback_exempt(tmp_path):
-    # progress= and cache= are documented parent-side-only
+    # progress= and store= are documented parent-side-only
     report = lint_source(tmp_path, (
         "from repro.sim.campaign import run_batch\n"
         "def sweep(specs):\n"
@@ -417,40 +416,6 @@ def test_pure001_shadow_state_on_self_silent(tmp_path):
         "        sh[0] += 1\n"                   # copy, not the component
     ))
     assert "PURE001" not in rule_ids(report)
-
-
-# ----------------------------------------------------------------------
-# API: execution-options discipline
-# ----------------------------------------------------------------------
-def test_api001_flat_exec_flags_fire(tmp_path):
-    report = lint_source(tmp_path, (
-        "from repro.sim.spec import RunSpec\n"
-        "a = RunSpec('millipede', 'count', sanitize=True)\n"
-        "b = RunSpec('ssmc', 'kmeans', n_records=512,\n"
-        "            trace=True, backend='vector')\n"
-        "import repro.sim.spec as spec_mod\n"
-        "c = spec_mod.RunSpec('gpgpu', 'pca', validate=False)\n"
-    ))
-    assert rule_ids(report).count("API001") == 3
-
-
-def test_api001_options_construction_silent(tmp_path):
-    report = lint_source(tmp_path, (
-        "from repro.sim.options import ExecOptions\n"
-        "from repro.sim.spec import RunSpec\n"
-        "a = RunSpec('millipede', 'count',\n"
-        "            options=ExecOptions(sanitize=True, backend='vector'))\n"
-        "b = RunSpec('ssmc', 'kmeans', n_records=512, seed=3)\n"
-    ))
-    assert "API001" not in rule_ids(report)
-
-
-def test_api001_resolves_aliased_runspec(tmp_path):
-    report = lint_source(tmp_path, (
-        "from repro.sim.spec import RunSpec as RS\n"
-        "a = RS('millipede', 'count', sanitize=True)\n"
-    ))
-    assert rule_ids(report) == ["API001"]
 
 
 # ----------------------------------------------------------------------
@@ -707,7 +672,7 @@ def test_ipc001_store_into_worker_args_fires(tmp_path):
         "from repro.sim.store import FingerprintStore\n"
         "def sweep(specs, root):\n"
         "    store = FingerprintStore(root)\n"
-        "    return run_batch(specs, workers=2, store=store)\n"
+        "    return run_batch([(s, store) for s in specs], workers=2)\n"
     ))
     findings = [f for f in report.unsuppressed if f.rule == "IPC001"]
     assert len(findings) == 1
@@ -724,13 +689,14 @@ def test_ipc001_open_handle_into_pool_fires(tmp_path):
 
 
 def test_ipc001_parent_side_cache_kwarg_silent(tmp_path):
-    # cache= is documented parent-side-only: the store stays home
+    # the result-tier kwarg (store=) is documented parent-side-only: the
+    # store stays home
     report = lint_source(tmp_path, (
         "from repro.sim.campaign import run_batch\n"
         "from repro.sim.store import FingerprintStore\n"
         "def sweep(specs, root):\n"
         "    store = FingerprintStore(root)\n"
-        "    return run_batch(specs, workers=2, cache=store)\n"
+        "    return run_batch(specs, workers=2, store=store)\n"
     ))
     assert "IPC001" not in rule_ids(report)
 

@@ -6,16 +6,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ARCHITECTURES, run
+from repro import ARCHITECTURES
 from repro.config import SystemConfig
 from repro.dram.controller import MemoryController
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
 from repro.sanitize import InvariantViolation, SimSanitizer
 from repro.sanitize.inject import FaultInjector
+from repro.sim.driver import run
+from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 
 N = 256
+SANITIZED = ExecOptions(sanitize=True)
+
+
+def sanitized(arch, workload, n_records=N):
+    return RunSpec(arch, workload, n_records=n_records, options=SANITIZED)
 
 
 def same_result(a, b) -> bool:
@@ -35,8 +42,8 @@ def same_result(a, b) -> bool:
 class TestCleanRuns:
     @pytest.mark.parametrize("arch", list(ARCHITECTURES))
     def test_sanitized_equals_unsanitized(self, arch):
-        a = run(arch, "variance", n_records=N, sanitize=True)
-        b = run(arch, "variance", n_records=N, sanitize=False)
+        a = run(sanitized(arch, "variance"))
+        b = run(RunSpec(arch, "variance", n_records=N))
         assert same_result(a, b)
 
     def test_clean_run_exercises_invariants(self):
@@ -45,7 +52,7 @@ class TestCleanRuns:
         def probe(proc, engine, sanitizer):
             captured["san"] = sanitizer
 
-        run("millipede", "count", n_records=N, sanitize=True, probe=probe)
+        run(sanitized("millipede", "count"), probe=probe)
         checks = captured["san"].report()["checks"]
         for inv in ("time-monotonicity", "dram-timing", "dram-window",
                     "df-consistency", "pft-retrigger", "pb-capacity"):
@@ -59,11 +66,9 @@ class TestCleanRuns:
                 caps[name] = sanitizer
             return probe
 
-        run("gpgpu", "count", n_records=N, sanitize=True, probe=grab("simt"))
-        run("millipede-bar", "count", n_records=N, sanitize=True,
-            probe=grab("bar"))
-        run("millipede-rm", "count", n_records=N, sanitize=True,
-            probe=grab("rm"))
+        run(sanitized("gpgpu", "count"), probe=grab("simt"))
+        run(sanitized("millipede-bar", "count"), probe=grab("bar"))
+        run(sanitized("millipede-rm", "count"), probe=grab("rm"))
         assert caps["simt"].report()["checks"].get("simt-dropped-pop", 0) > 0
         assert caps["bar"].report()["checks"].get(
             "barrier-incomplete-generation", 0) > 0
@@ -71,12 +76,11 @@ class TestCleanRuns:
         assert "clock.millipede" in caps["rm"].report()["components"]
 
     def test_spec_roundtrip_carries_sanitize(self):
-        # flat-flag shim round-trip is the subject; see docs/linting.md
-        spec = RunSpec("millipede", "count",  # repro-lint: disable=API001
-                       n_records=N, sanitize=True)
+        spec = sanitized("millipede", "count")
         assert RunSpec.from_dict(spec.to_dict()) == spec
-        # sanitize is part of identity: cached results are kept separate
-        assert spec.content_hash() != spec.replace(sanitize=False).content_hash()
+        # sanitize is part of identity: stored results are kept separate
+        assert (spec.content_hash()
+                != spec.replace(options=ExecOptions()).content_hash())
         # old serialized specs (no sanitize key) still deserialize
         legacy = spec.to_dict()
         del legacy["sanitize"]
@@ -95,7 +99,7 @@ def expect_violation(arch, workload, invariants, arm, n_records=N):
         arm(inj, proc, engine)
 
     with pytest.raises(InvariantViolation) as exc:
-        run(arch, workload, n_records=n_records, sanitize=True, probe=probe)
+        run(sanitized(arch, workload, n_records), probe=probe)
     assert exc.value.invariant in invariants
     assert inj.injected, "fault never armed/injected"
     return exc.value
@@ -136,6 +140,22 @@ class TestFaultInjection:
             lambda inj, proc, eng: inj.drop_barrier_arrival(proc.barrier))
         assert "deadlock" in str(v)
 
+    def test_unsanitized_deadlock_names_the_spec(self):
+        """Without the sanitizer the same lost barrier arrival surfaces as
+        the driver's drained-queue error, which must name the full spec
+        (records, seed, backend), not only arch/workload."""
+        inj = FaultInjector()
+        spec = RunSpec("millipede-bar", "count", n_records=N, seed=3,
+                       options=ExecOptions(backend="vector"))
+
+        def probe(proc, engine, sanitizer):
+            inj.drop_barrier_arrival(proc.barrier)
+
+        with pytest.raises(RuntimeError, match="never finished") as exc:
+            run(spec, probe=probe)
+        assert str(spec) in str(exc.value)
+        assert inj.injected
+
     def test_pft_retrigger_caught(self):
         expect_violation(
             "millipede", "count", {"pft-retrigger"},
@@ -159,15 +179,15 @@ class TestExperimentEquality:
     def test_fig3_rows_unchanged_under_sanitizer(self):
         from repro.experiments import fig3
 
-        a = fig3.run_experiment(n_records=N, cache=None, sanitize=True)
-        b = fig3.run_experiment(n_records=N, cache=None, sanitize=False)
+        a = fig3.run_experiment(n_records=N, options=SANITIZED)
+        b = fig3.run_experiment(n_records=N)
         assert a.rows == b.rows
 
     def test_table4_rows_unchanged_under_sanitizer(self):
         from repro.experiments import table4
 
-        a = table4.run_experiment(n_records=N, cache=None, sanitize=True)
-        b = table4.run_experiment(n_records=N, cache=None, sanitize=False)
+        a = table4.run_experiment(n_records=N, options=SANITIZED)
+        b = table4.run_experiment(n_records=N)
         assert a.rows == b.rows
 
 

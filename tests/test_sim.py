@@ -1,12 +1,12 @@
-"""Tests for the run driver, result metrics, and the disk cache."""
+"""Tests for the run driver, result metrics, and config fingerprints."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import run, sweep
 from repro.config import SystemConfig
-from repro.sim.cache import ResultCache, config_fingerprint
-from repro.sim.driver import run, run_many
+from repro.sim.options import ExecOptions
 
 
 @pytest.fixture(scope="module")
@@ -35,18 +35,19 @@ class TestRunResult:
         assert "counts" in count_result.reduced
 
     def test_validate_false_skips_reduction(self):
-        r = run("millipede", "count", n_records=2048, validate=False)
+        r = run("millipede", "count", n_records=2048,
+                options=ExecOptions(validate=False))
         assert r.reduced == {}
         assert not r.validated
 
 
 class TestRunMany:
     def test_shares_built_workload(self):
-        results = run_many(["ssmc", "millipede"], "count", n_records=2048)
-        assert set(results) == {"ssmc", "millipede"}
+        results = sweep(["ssmc", "millipede"], ["count"], n_records=2048)
+        assert set(results) == {("ssmc", "count"), ("millipede", "count")}
         # identical data: identical reductions
-        assert (results["ssmc"].reduced["invalid"]
-                == results["millipede"].reduced["invalid"])
+        assert (results["ssmc", "count"].reduced["invalid"]
+                == results["millipede", "count"].reduced["invalid"])
 
     def test_different_seeds_change_data(self):
         a = run("millipede", "count", n_records=2048, seed=0)
@@ -60,37 +61,9 @@ class TestRunMany:
         assert a.collected["instructions"] == b.collected["instructions"]
 
 
-class TestResultCache:
-    def test_roundtrip(self, tmp_path, count_result):
-        cache = ResultCache(tmp_path)
-        cfg = SystemConfig()
-        cache.put(count_result, 2048, 0, cfg)
-        back = cache.get("millipede", "count", 2048, 0, cfg)
-        assert back is not None
-        assert back.finish_ps == count_result.finish_ps
-        assert back.energy.total_j == pytest.approx(count_result.energy.total_j)
-
-    def test_miss_on_different_config(self, tmp_path, count_result):
-        cache = ResultCache(tmp_path)
-        cache.put(count_result, 2048, 0, SystemConfig())
-        other = SystemConfig().with_millipede(prefetch_entries=4)
-        assert cache.get("millipede", "count", 2048, 0, other) is None
-
-    def test_clear(self, tmp_path, count_result):
-        cache = ResultCache(tmp_path)
-        cache.put(count_result, 2048, 0, SystemConfig())
-        assert cache.clear() == 1
-        assert cache.get("millipede", "count", 2048, 0, SystemConfig()) is None
-
+class TestConfigFingerprint:
     def test_fingerprint_sensitive_to_every_field(self):
-        a = config_fingerprint(SystemConfig())
-        b = config_fingerprint(SystemConfig().with_dram(t_cas=10))
-        c = config_fingerprint(SystemConfig().with_millipede(rate_match=True))
+        a = SystemConfig().fingerprint()
+        b = SystemConfig().with_dram(t_cas=10).fingerprint()
+        c = SystemConfig().with_millipede(rate_match=True).fingerprint()
         assert len({a, b, c}) == 3
-
-    def test_corrupt_cache_file_ignored(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cfg = SystemConfig()
-        p = cache._path("millipede", "count", 2048, 0, cfg)
-        p.write_text("{not json")
-        assert cache.get("millipede", "count", 2048, 0, cfg) is None

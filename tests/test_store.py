@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.energy.model import EnergyBreakdown
-from repro.sim.cache import ResultCache
 from repro.sim.driver import RunResult, run
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
@@ -71,17 +70,6 @@ class TestRoundTrip:
         again = FingerprintStore(tmp_path)
         assert canonical_result_blob(again.get_spec(spec)) == \
             canonical_result_blob(result)
-
-    def test_store_and_cache_payloads_interchangeable(self, tmp_path):
-        """Both tiers serialize through the same payload pair."""
-        spec = RunSpec("ssmc", "count", n_records=N)
-        result = run(spec)
-        cache = ResultCache(tmp_path / "cache")
-        cache.put_spec(spec, result)
-        store = FingerprintStore(tmp_path / "store")
-        store.put_spec(spec, result)
-        assert canonical_result_blob(cache.get_spec(spec)) == \
-            canonical_result_blob(store.get_spec(spec))
 
     def test_get_missing_returns_none(self, tmp_path):
         store = FingerprintStore(tmp_path)

@@ -7,14 +7,15 @@ import json
 
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.sim.cache import ResultCache
 from repro.sim.campaign import run_batch
 from repro.sim.driver import run
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
+from repro.sim.store import FingerprintStore
 from repro.trace import SimTracer, TimelineSampler, TraceResult, TraceWriter
 
 N = 512
+TRACED = ExecOptions(trace=True)
 
 
 def dump(result) -> str:
@@ -26,8 +27,8 @@ def dump(result) -> str:
 # ----------------------------------------------------------------------
 class TestTracedRunsAreBitIdentical:
     def test_traced_kmeans_matches_plain(self):
-        plain = run("millipede", "kmeans", n_records=N)
-        traced = run("millipede", "kmeans", n_records=N, trace=True)
+        plain = run(RunSpec("millipede", "kmeans", n_records=N))
+        traced = run(RunSpec("millipede", "kmeans", n_records=N, options=TRACED))
         assert traced.finish_ps == plain.finish_ps
         assert dump(traced) == dump(plain)
 
@@ -35,14 +36,14 @@ class TestTracedRunsAreBitIdentical:
         """Satellite 5: sanitizer + tracer attached on the same run (the
         composition the old single-slot observer protocol could not do)
         still reproduce the plain run byte-for-byte."""
-        plain = run("millipede-rm", "kmeans", n_records=N)
-        both = run("millipede-rm", "kmeans", n_records=N,
-                   sanitize=True, trace=True)
+        plain = run(RunSpec("millipede-rm", "kmeans", n_records=N))
+        both = run(RunSpec("millipede-rm", "kmeans", n_records=N,
+                           options=ExecOptions(sanitize=True, trace=True)))
         assert both.finish_ps == plain.finish_ps
         assert dump(both) == dump(plain)
 
     def test_untraced_run_has_no_trace(self):
-        assert run("millipede", "count", n_records=N).trace is None
+        assert run(RunSpec("millipede", "count", n_records=N)).trace is None
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +51,7 @@ class TestTracedRunsAreBitIdentical:
 # ----------------------------------------------------------------------
 class TestTraceContent:
     def kmeans_trace(self):
-        return run("millipede-rm", "kmeans", n_records=N, trace=True).trace
+        return run(RunSpec("millipede-rm", "kmeans", n_records=N, options=TRACED)).trace
 
     def test_core_series_sampled(self):
         trace = self.kmeans_trace()
@@ -90,7 +91,7 @@ class TestTraceContent:
         assert instr[-1][0] >= instr[0][0]
 
     def test_meta_carries_run_identity(self):
-        result = run("millipede", "kmeans", n_records=N, trace=True)
+        result = run(RunSpec("millipede", "kmeans", n_records=N, options=TRACED))
         meta = result.trace.meta
         assert meta["arch"] == "millipede" and meta["workload"] == "kmeans"
         assert meta["finish_ps"] == result.finish_ps
@@ -102,7 +103,7 @@ class TestTraceContent:
 # ----------------------------------------------------------------------
 class TestExport:
     def trace(self):
-        return run("millipede-rm", "kmeans", n_records=N, trace=True).trace
+        return run(RunSpec("millipede-rm", "kmeans", n_records=N, options=TRACED)).trace
 
     def test_chrome_trace_structure(self):
         trace = self.trace()
@@ -189,32 +190,34 @@ class TestTimelineSampler:
 
 
 # ----------------------------------------------------------------------
-# spec / cache / campaign integration
+# spec / store / campaign integration
 # ----------------------------------------------------------------------
 class TestCampaignIntegration:
     def test_spec_roundtrip_carries_trace(self):
-        # flat-flag shim round-trip is the subject; see docs/linting.md
-        spec = RunSpec("millipede", "count",  # repro-lint: disable=API001
-                       n_records=N, trace=True)
+        spec = RunSpec("millipede", "count", n_records=N, options=TRACED)
         assert RunSpec.from_dict(spec.to_dict()) == spec
-        assert spec.content_hash() != spec.replace(trace=False).content_hash()
+        assert (spec.content_hash()
+                != spec.replace(options=ExecOptions()).content_hash())
         legacy = spec.to_dict()
         del legacy["trace"]  # pre-trace serialized specs still deserialize
         assert RunSpec.from_dict(legacy).trace is False
 
     def test_traced_spec_bypasses_cache_but_feeds_it(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = FingerprintStore(tmp_path)
         plain = RunSpec("millipede", "count", n_records=N)
-        traced = plain.replace(trace=True)
-        (first,) = run_batch([traced], workers=1, cache=cache)
+        traced = plain.replace(options=TRACED)
+        (first,) = run_batch([traced], workers=1, store=store)
         assert first.trace is not None
-        # the traced run populated the cache for future untraced runs...
-        (warm,) = run_batch([plain], workers=1, cache=cache)
-        assert warm.finish_ps == first.finish_ps
-        # ...and a traced spec always re-simulates (the artifact is the
-        # point; a cache hit would return no trace)
-        (again,) = run_batch([traced], workers=1, cache=cache)
+        assert traced.content_hash() in store  # the outcome is recorded...
+        # ...a traced spec always re-simulates (the artifact is the
+        # point; a store hit would return no trace)
+        (again,) = run_batch([traced], workers=1, store=store)
         assert again.trace is not None
+        assert again.finish_ps == first.finish_ps
+        # ...and untraced runs of the same spec get their own record
+        (plain_run,) = run_batch([plain], workers=1, store=store)
+        assert plain_run.finish_ps == first.finish_ps
+        assert plain.content_hash() in store
 
     def test_trace_writer_collects_batch(self, tmp_path):
         specs = [RunSpec("millipede", "count", n_records=N,
@@ -261,15 +264,15 @@ class TestSimTracer:
         assert trace.samples == [] and trace.host_profile == {}
 
     def test_custom_interval_respected(self):
-        a = run("millipede", "count", n_records=N, trace=True,
+        a = run(RunSpec("millipede", "count", n_records=N, options=TRACED),
                 trace_interval_ps=50_000)
-        b = run("millipede", "count", n_records=N, trace=True,
+        b = run(RunSpec("millipede", "count", n_records=N, options=TRACED),
                 trace_interval_ps=200_000)
         assert a.trace.meta["interval_ps"] == 50_000
         assert len(a.trace.samples) > len(b.trace.samples)
         assert a.finish_ps == b.finish_ps  # cadence never affects timing
 
     def test_gpgpu_probes_warps(self):
-        trace = run("gpgpu", "count", n_records=N, trace=True).trace
+        trace = run(RunSpec("gpgpu", "count", n_records=N, options=TRACED)).trace
         names = trace.series_names()
         assert "warps.active" in names and "dram.queue_depth" in names

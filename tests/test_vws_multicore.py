@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import run
 from repro.arch.vws import VwsRowSM, VwsSM
 from repro.config import SystemConfig, VwsConfig
-from repro.sim.driver import run, run_many
+from tests.test_arch import across
 
 
 class TestVws:
@@ -30,7 +31,7 @@ class TestVws:
         assert VwsSM.select_width(div_rate, VwsConfig()) == 4
 
     def test_narrow_warps_diverge_less(self):
-        results = run_many(["gpgpu", "vws"], "count", n_records=4096)
+        results = across(["gpgpu", "vws"], "count", n_records=4096)
         assert (results["vws"].collected["simt_efficiency"]
                 >= results["gpgpu"].collected["simt_efficiency"])
 
@@ -41,7 +42,7 @@ class TestVws:
         assert "l1d.demand_hits" not in r.stats
 
     def test_vws_row_improves_row_locality_over_vws(self):
-        results = run_many(["vws", "vws-row"], "nbayes", n_records=4096)
+        results = across(["vws", "vws-row"], "nbayes", n_records=4096)
         # row-oriented fetch: one activation per row
         rows = results["vws-row"].input_words / 512
         assert results["vws-row"].stats["dram.activations"] == rows
@@ -58,7 +59,7 @@ class TestMulticore:
         assert cfg.multicore.n_cores * cfg.multicore.n_threads == 32
 
     def test_much_slower_than_pnm_node(self):
-        results = run_many(["multicore"], "count", n_records=2048)
+        results = across(["multicore"], "count", n_records=2048)
         mill = run("millipede", "count", n_records=2048)
         node = mill.throughput_words_per_s * SystemConfig().n_processors
         assert node > 10 * results["multicore"].throughput_words_per_s

@@ -17,8 +17,7 @@ ALU ops per input word) gain the most — the vector backend executes
 those ops once, batched across all threads/warps, and replays cheap gap
 counters.  sample/count sit at the other end: nearly every cycle
 involves the memory system, whose event-driven model runs either way
-(the batched DRAM window scan and the calendar drain fast path are what
-move them).
+(the batched DRAM window scan is what moves them).
 """
 
 from __future__ import annotations

@@ -26,13 +26,12 @@ from typing import Callable, Optional
 
 from repro.config import SystemConfig, WORD_BYTES
 from repro.core.corelet import MimdCore
-from repro.core.replay import ReplayMixin, build_plan
+from repro.core.replay import build_plan
 from repro.dram.controller import DramRequest, MemoryController
 from repro.dram.dram import GlobalMemory
 from repro.engine.clock import Clock
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.isa.executor import MemAccess, ThreadContext
 from repro.isa.program import Program
 from repro.mem.dcache import SetAssocCache
 from repro.mem.local_memory import LocalMemory
@@ -62,21 +61,12 @@ class _XeonCore(MimdCore):
     def __init__(self, *args, prefetcher: SequentialPrefetcher, **kwargs):
         super().__init__(*args, **kwargs)
         self.prefetcher = prefetcher
-        self.state_l1_accesses = 0
 
-    def _local_access(self, th: ThreadContext, acc: MemAccess) -> None:
-        self.state_l1_accesses += 1
-        super()._local_access(th, acc)
+    def _global_access(self, slot: int, addr: int) -> None:
+        def on_ready(ready_ps: int, _slot=slot) -> None:
+            self._global_done(_slot, ready_ps)
 
-    def _global_access(self, slot: int, acc: MemAccess) -> None:
-        def on_ready(ready_ps: int, _slot=slot, _acc=acc) -> None:
-            self._global_done(_slot, _acc, ready_ps)
-
-        self.prefetcher.demand_access(acc.addr, on_ready)
-
-
-class _ReplayXeonCore(ReplayMixin, _XeonCore):
-    """Vector-backend multicore context bundle: trace-replay loop."""
+        self.prefetcher.demand_access(addr, on_ready)
 
 
 class MulticoreProcessor:
@@ -158,8 +148,7 @@ class MulticoreProcessor:
                 name=f"mc_l1_{core_id}", degree=4,
                 schedule=schedule,
             )
-            core_cls = _ReplayXeonCore if backend == "vector" else _XeonCore
-            core = core_cls(
+            core = _XeonCore(
                 engine,
                 program,
                 core_like,
@@ -167,7 +156,6 @@ class MulticoreProcessor:
                 LocalMemory(state_bytes // WORD_BYTES),
                 core_id,
                 self._core_done,
-                global_mem.read_word,
                 prefetcher=pf,
             )
             self.cores.append(core)
@@ -190,20 +178,14 @@ class MulticoreProcessor:
 
     def set_thread_args(self, args_per_thread: list[dict[int, float]]) -> None:
         self._thread_args = args_per_thread
-        n_threads = self.config.multicore.n_threads
-        expected = self.config.multicore.n_cores * n_threads
+        expected = self.config.multicore.n_cores * self.config.multicore.n_threads
         if len(args_per_thread) != expected:
             raise ValueError(f"need {expected} thread-arg dicts, got {len(args_per_thread)}")
-        for g, args in enumerate(args_per_thread):
-            self.cores[g // n_threads].set_thread_args(g % n_threads, args)
 
     def start(self) -> None:
-        if self.backend == "vector":
-            # the micro-cycle trick leaves n_registers on the shared core
-            # config; the functional phase only needs registers + state
-            plan = build_plan(self, self.config.core.n_registers)
-            for c in self.cores:
-                c.load_plan(plan)
+        plan = build_plan(self, self.config.core.n_registers)
+        for c in self.cores:
+            c.load_plan(plan)
         for c in self.cores:
             c.start()
 
@@ -235,7 +217,7 @@ class MulticoreProcessor:
             # convert micro-cycle idle counts back to real cycles
             "idle_cycles": sum(c.idle_cycles for c in self.cores) / self.issue_width,
             "branches": sum(c.dynamic_branches for c in self.cores),
-            "l1d_accesses": sum(c.state_l1_accesses for c in self.cores)
+            "l1d_accesses": sum(c.local_mem.accesses for c in self.cores)
             + sum(pf.cache.accesses for pf in self.prefetchers),
             "finish_ps": self.finish_ps or 0,
             "icache_fetches": instructions,

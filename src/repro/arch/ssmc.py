@@ -19,13 +19,12 @@ from typing import Callable, Optional
 
 from repro.config import SystemConfig, WORD_BYTES
 from repro.core.corelet import MimdCore
-from repro.core.replay import ReplayMixin, build_plan
+from repro.core.replay import build_plan
 from repro.dram.controller import MemoryController
 from repro.dram.dram import GlobalMemory
 from repro.engine.clock import Clock
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.isa.executor import MemAccess, ThreadContext
 from repro.isa.program import Program
 from repro.mem.dcache import SetAssocCache
 from repro.mem.local_memory import LocalMemory
@@ -37,28 +36,19 @@ class _SsmcCore(MimdCore):
 
     Live state nominally resides in the L1 D-cache (section III-E); since
     BMLA state always fits (the paper sizes it so), state accesses are
-    modelled as single-cycle L1 hits and counted separately so the energy
-    model can charge L1 (not scratchpad) energy for them.
+    modelled as single-cycle L1 hits; ``collect`` bills the local
+    memory's access count as L1 (not scratchpad) energy.
     """
 
     def __init__(self, *args, prefetcher: SequentialPrefetcher, **kwargs):
         super().__init__(*args, **kwargs)
         self.prefetcher = prefetcher
-        self.state_l1_accesses = 0
 
-    def _local_access(self, th: ThreadContext, acc: MemAccess) -> None:
-        self.state_l1_accesses += 1
-        super()._local_access(th, acc)
+    def _global_access(self, slot: int, addr: int) -> None:
+        def on_ready(ready_ps: int, _slot=slot) -> None:
+            self._global_done(_slot, ready_ps)
 
-    def _global_access(self, slot: int, acc: MemAccess) -> None:
-        def on_ready(ready_ps: int, _slot=slot, _acc=acc) -> None:
-            self._global_done(_slot, _acc, ready_ps)
-
-        self.prefetcher.demand_access(acc.addr, on_ready)
-
-
-class _ReplaySsmcCore(ReplayMixin, _SsmcCore):
-    """Vector-backend SSMC core: L1D+prefetcher port, trace-replay loop."""
+        self.prefetcher.demand_access(addr, on_ready)
 
 
 class SsmcProcessor:
@@ -140,8 +130,7 @@ class SsmcProcessor:
                 name=f"l1d{core_id}", degree=scfg.prefetch_degree,
                 schedule=schedule,
             )
-            core_cls = _ReplaySsmcCore if backend == "vector" else _SsmcCore
-            core = core_cls(
+            core = _SsmcCore(
                 engine,
                 program,
                 core_cfg,
@@ -149,7 +138,6 @@ class SsmcProcessor:
                 LocalMemory(state_bytes // WORD_BYTES),
                 core_id,
                 self._core_done,
-                global_mem.read_word,
                 prefetcher=pf,
             )
             self.cores.append(core)
@@ -172,18 +160,14 @@ class SsmcProcessor:
 
     def set_thread_args(self, args_per_thread: list[dict[int, float]]) -> None:
         self._thread_args = args_per_thread
-        n_threads = self.config.core.n_threads
-        expected = self.config.core.n_cores * n_threads
+        expected = self.config.core.n_cores * self.config.core.n_threads
         if len(args_per_thread) != expected:
             raise ValueError(f"need {expected} thread-arg dicts, got {len(args_per_thread)}")
-        for g, args in enumerate(args_per_thread):
-            self.cores[g // n_threads].set_thread_args(g % n_threads, args)
 
     def start(self) -> None:
-        if self.backend == "vector":
-            plan = build_plan(self, self.config.core.n_registers)
-            for c in self.cores:
-                c.load_plan(plan)
+        plan = build_plan(self, self.config.core.n_registers)
+        for c in self.cores:
+            c.load_plan(plan)
         for c in self.cores:
             c.start()
 
@@ -215,7 +199,7 @@ class SsmcProcessor:
             "idle_cycles": sum(c.idle_cycles for c in self.cores),
             "branches": sum(c.dynamic_branches for c in self.cores),
             # state hits + input-block reads all pay L1 energy in SSMC
-            "l1d_accesses": sum(c.state_l1_accesses for c in self.cores)
+            "l1d_accesses": sum(c.local_mem.accesses for c in self.cores)
             + sum(pf.cache.accesses for pf in self.prefetchers),
             "finish_ps": self.finish_ps or 0,
             "icache_fetches": instructions,

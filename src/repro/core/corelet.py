@@ -5,6 +5,13 @@ wider issue) one conventional-multicore context - the paper deliberately
 keeps the pipelines identical across the PNM architectures (section V) so
 that performance differences isolate the *memory* optimizations.
 
+The core is the timing phase of both execution backends.  Threads share
+no mutable state, so what a thread computes never depends on timing: the
+functional phase (:func:`repro.core.replay.build_plan`) runs every thread
+to completion first and records its issue trace (pure-issue gaps between
+global loads, barriers and the final halt).  The core then replays those
+traces in simulated time.
+
 Timing model
 ------------
 * In-order, single-issue; after a thread issues, it may not issue again for
@@ -12,8 +19,8 @@ Timing model
   there to hide, section IV-A).  With all 4 threads ready the core sustains
   IPC 1; when threads block on memory, issue bubbles appear and are counted
   as idle cycles (they burn the "idle dynamic energy" of Fig. 4).
-* Local (live-state) accesses are single-cycle scratchpad/L1 hits and are
-  executed inline.
+* Local (live-state) accesses are single-cycle scratchpad/L1 hits: pure
+  issues in the trace.
 * Global (input-data) accesses are *shared-state* interactions: they are
   scheduled onto the event heap at the core's local timestamp, and the core
   continues running its other threads inline only in bounded chunks while
@@ -22,6 +29,12 @@ Timing model
 
 Subclasses provide the global-access port (prefetch buffer for Millipede,
 L1D+prefetcher for SSMC) by overriding :meth:`_global_access`.
+
+State the replay never touches per issue (local-memory contents and
+counters, branch counters) is restored from the plan in :meth:`_finish`,
+before the completion callback runs, so end-of-run consumers
+(``collect``, ``thread_states``, validation, energy) see the values the
+threads computed.
 """
 
 from __future__ import annotations
@@ -32,12 +45,10 @@ from repro.config import CoreConfig
 from repro.engine.clock import Clock
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.isa.executor import MemAccess, ThreadContext, step_one
-from repro.isa.instructions import Op
+from repro.isa.executor import ThreadContext
 from repro.isa.program import Program
+from repro.isa.vector import K_BAR, K_LDG, VectorPlan
 from repro.mem.local_memory import LocalMemory
-
-_BAR = int(Op.BAR)
 
 #: how far a core may run ahead inline while global accesses are pending
 #: (bounds cross-component timestamp skew; in compute cycles)
@@ -56,7 +67,6 @@ class MimdCore:
         local_mem: LocalMemory,
         core_id: int,
         on_done: Callable[["MimdCore"], None],
-        read_global: Callable[[int], float],
         stats: Optional[Stats] = None,
     ):
         self.engine = engine
@@ -66,7 +76,6 @@ class MimdCore:
         self.local_mem = local_mem
         self.core_id = core_id
         self.on_done = on_done
-        self.read_global = read_global
 
         n = cfg.n_threads
         self.threads = [ThreadContext(core_id * n + s, cfg.n_registers) for s in range(n)]
@@ -84,6 +93,7 @@ class MimdCore:
         self.done = False
         self._run_scheduled = False
         self._rr = 0  # round-robin pointer
+        self._plan: Optional[VectorPlan] = None
 
         # accounting
         self.idle_cycles = 0.0
@@ -93,10 +103,22 @@ class MimdCore:
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def set_thread_args(self, slot: int, args: dict[int, float]) -> None:
-        self.threads[slot].set_args(args)
+    def load_plan(self, plan: VectorPlan) -> None:
+        """Adopt this core's slice of the functional plan (global thread
+        ``core_id * n_threads + slot`` maps to local ``slot``)."""
+        n = self.cfg.n_threads
+        base = self.core_id * n
+        self._plan = plan
+        self._gaps = [plan.traces[base + s].gaps for s in range(n)]
+        self._kinds = [plan.traces[base + s].kinds for s in range(n)]
+        self._addrs = [plan.traces[base + s].addrs for s in range(n)]
+        self._gap_rem = [(g[0] if g else 0) for g in self._gaps]
+        self._ev_idx = [0] * n
 
     def start(self) -> None:
+        if self._plan is None:
+            raise RuntimeError("core started without a plan; "
+                               "the processor must call load_plan() first")
         self._schedule_run(self.engine.now)
 
     # ------------------------------------------------------------------
@@ -124,10 +146,50 @@ class MimdCore:
         threads = self.threads
         ready_at = self.ready_at
         blocked = self.blocked
-        program = self.program
         n = len(threads)
+        gap_rem = self._gap_rem
+        ev_idx = self._ev_idx
+        all_gaps = self._gaps
+        all_kinds = self._kinds
+        all_addrs = self._addrs
+        # the barrel fast path below leaps whole rotations; it is only
+        # valid when a thread's re-ready gap equals one full rotation
+        dense = gap == n * period
 
         while True:
+            # -- dense-rotation leap -----------------------------------
+            # With no memory op in flight (no chunking) and every thread
+            # mid-gap and ready exactly at its barrel slot, the next
+            # K = min(gap_rem) rotations are fully determined: thread at
+            # rotation position i issues at t + (r*n + i)*period and is
+            # re-ready exactly one rotation later.  Leap all K rotations
+            # in O(n): the per-issue loop below would produce the very
+            # same t/_rr/ready_at/instr_count trajectory with no idle
+            # terms and no engine interaction, so every observable -
+            # including the float ``idle_cycles`` sum - is untouched.
+            if dense and chunk_end is None:
+                start = self._rr
+                k_min = 0
+                for i in range(n):
+                    s = (start + i) % n
+                    g = gap_rem[s]
+                    if (g == 0 or threads[s].halted or blocked[s]
+                            or ready_at[s] > t + i * period):
+                        k_min = 0
+                        break
+                    if k_min == 0 or g < k_min:
+                        k_min = g
+                if k_min:
+                    leap = k_min * n * period
+                    for i in range(n):
+                        s = (start + i) % n
+                        threads[s].instr_count += k_min
+                        gap_rem[s] -= k_min
+                        ready_at[s] = t + leap + i * period
+                    self.issued += k_min * n
+                    t += leap
+                    # at least one thread's next issue is now its event;
+                    # fall through to the per-issue loop for that
             # -- pick a ready thread, round-robin ----------------------
             slot = -1
             start = self._rr
@@ -156,23 +218,34 @@ class MimdCore:
 
             self._rr = (slot + 1) % n
             th = threads[slot]
-            acc = step_one(th, program.instrs[th.pc])
+            th.instr_count += 1
             self.issued += 1
             ready_at[slot] = t + gap
 
-            if acc is not None:
-                if acc.op == _BAR:
+            g = gap_rem[slot]
+            if g:
+                # a pure issue: ALU/branch/jump/local-memory, one cycle,
+                # no core interaction (functional effects already applied)
+                gap_rem[slot] = g - 1
+            else:
+                i = ev_idx[slot]
+                kind = all_kinds[slot][i]
+                ev_idx[slot] = i + 1
+                gaps = all_gaps[slot]
+                gap_rem[slot] = gaps[i + 1] if i + 1 < len(gaps) else 0
+                if kind == K_LDG:
+                    blocked[slot] = True
+                    self.pending += 1
+                    self.engine.schedule_at(t, self._global_access, slot,
+                                            all_addrs[slot][i])
+                    if chunk_end is None:
+                        chunk_end = t + _CHUNK_CYCLES * period
+                elif kind == K_BAR:
                     blocked[slot] = True
                     self.at_barrier[slot] = True
                     self.engine.schedule_at(t, self._barrier_hook, slot)
-                elif acc.is_global:
-                    blocked[slot] = True
-                    self.pending += 1
-                    self.engine.schedule_at(t, self._issue_global, slot, acc)
-                    if chunk_end is None:
-                        chunk_end = t + _CHUNK_CYCLES * period
-                else:
-                    self._local_access(th, acc)
+                else:  # K_HALT
+                    th.halted = True
 
             t += period
             if chunk_end is not None and t >= chunk_end:
@@ -185,43 +258,15 @@ class MimdCore:
     # ------------------------------------------------------------------
     # memory paths
     # ------------------------------------------------------------------
-    def _local_access(self, th: ThreadContext, acc: MemAccess) -> None:
-        """Single-cycle thread-private scratchpad access."""
-        addr = self._translate_local(th, acc.addr)
-        if acc.is_store:
-            self.local_mem.write(addr, acc.value)
-        else:
-            th.commit_load(acc.rd, self.local_mem.read(addr))
-
-    def _translate_local(self, th: ThreadContext, addr: int) -> int:
-        slot = th.tid % self.cfg.n_threads
-        if not 0 <= addr < self.state_words:
-            raise IndexError(
-                f"thread {th.tid} local address {addr} exceeds its "
-                f"{self.state_words}-word state partition"
-            )
-        return slot * self.state_words + addr
-
-    def _issue_global(self, slot: int, acc: MemAccess) -> None:
-        """Engine event at the access's issue time: route to the
-        architecture's input-data port."""
-        if acc.is_store:
-            raise NotImplementedError(
-                "BMLA Map kernels do not store to global memory (outputs "
-                "live in local state and are copied out by the host, "
-                "section IV-E)"
-            )
-        self._global_access(slot, acc)
-
-    def _global_access(self, slot: int, acc: MemAccess) -> None:
-        """Architecture hook: start the global load; must eventually call
-        :meth:`_global_done`."""
+    def _global_access(self, slot: int, addr: int) -> None:
+        """Architecture hook, an engine event at the load's issue time:
+        demand word ``addr`` from the input-data port; must eventually
+        call :meth:`_global_done`."""
         raise NotImplementedError
 
-    def _global_done(self, slot: int, acc: MemAccess, ready_ps: int) -> None:
-        """Data for ``acc`` is available at ``ready_ps``: commit and wake."""
-        th = self.threads[slot]
-        th.commit_load(acc.rd, self.read_global(acc.addr))
+    def _global_done(self, slot: int, ready_ps: int) -> None:
+        """The load's data is available at ``ready_ps``: wake the thread
+        (the functional phase already committed the loaded word)."""
         self.blocked[slot] = False
         self.pending -= 1
         # one extra cycle to move the word from the buffer into the register
@@ -247,6 +292,22 @@ class MimdCore:
 
     # ------------------------------------------------------------------
     def _finish(self, t: int) -> None:
+        """Restore the functionally maintained state, release the plan,
+        then announce completion (the processor's done callback may
+        inspect us)."""
+        plan = self._plan
+        n = self.cfg.n_threads
+        base = self.core_id * n
+        for s, th in enumerate(self.threads):
+            th.branches = int(plan.branches[base + s])
+            th.taken_branches = int(plan.taken_branches[base + s])
+        lm = self.local_mem
+        sw = self.state_words
+        for s in range(n):
+            lm.data[s * sw : s * sw + sw] = plan.local[base + s]
+        lm.reads = int(plan.local_reads[base : base + n].sum())
+        lm.writes = int(plan.local_writes[base : base + n].sum())
+        self._plan = self._gaps = self._kinds = self._addrs = None
         self.done = True
         self.finish_ps = t
         self.t = t

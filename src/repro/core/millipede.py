@@ -26,13 +26,12 @@ from repro.config import SystemConfig, WORD_BYTES
 from repro.core.corelet import MimdCore
 from repro.core.flow_control import BarrierCoordinator
 from repro.core.rate_match import RateMatchController
-from repro.core.replay import ReplayMixin, build_plan
+from repro.core.replay import build_plan
 from repro.dram.controller import MemoryController
 from repro.dram.dram import GlobalMemory
 from repro.engine.clock import Clock
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.isa.executor import MemAccess
 from repro.isa.program import Program
 from repro.mem.local_memory import LocalMemory
 from repro.mem.prefetch_buffer import PrefetchBuffer
@@ -47,11 +46,11 @@ class _MillipedeCorelet(MimdCore):
         self.prefetch_buffer = prefetch_buffer
         self.barrier = barrier
 
-    def _global_access(self, slot: int, acc: MemAccess) -> None:
-        def on_ready(ready_ps: int, _code: str, _slot=slot, _acc=acc) -> None:
-            self._global_done(_slot, _acc, ready_ps)
+    def _global_access(self, slot: int, addr: int) -> None:
+        def on_ready(ready_ps: int, _code: str, _slot=slot) -> None:
+            self._global_done(_slot, ready_ps)
 
-        self.prefetch_buffer.demand_access(self.core_id, acc.addr, on_ready)
+        self.prefetch_buffer.demand_access(self.core_id, addr, on_ready)
 
     def _barrier_hook(self, slot: int) -> None:
         if self.barrier is None:
@@ -59,10 +58,6 @@ class _MillipedeCorelet(MimdCore):
                 "kernel contains `bar` but record_barriers is disabled"
             )
         self.barrier.arrive(self, slot)
-
-
-class _ReplayMillipedeCorelet(ReplayMixin, _MillipedeCorelet):
-    """Vector-backend corelet: prefetch-buffer port, trace-replay loop."""
 
 
 class MillipedeProcessor:
@@ -132,10 +127,8 @@ class MillipedeProcessor:
         self._done_count = 0
         self.finish_ps: Optional[int] = None
         self.on_finished: Optional[Callable[[], None]] = None
-        corelet_cls = (_ReplayMillipedeCorelet if backend == "vector"
-                       else _MillipedeCorelet)
         self.corelets = [
-            corelet_cls(
+            _MillipedeCorelet(
                 engine,
                 program,
                 core_cfg,
@@ -143,7 +136,6 @@ class MillipedeProcessor:
                 LocalMemory(lm_words),
                 core_id,
                 self._corelet_done,
-                global_mem.read_word,
                 prefetch_buffer=self.prefetch_buffer,
                 barrier=self.barrier,
             )
@@ -170,22 +162,19 @@ class MillipedeProcessor:
                 c.local_mem.data[lo : lo + len(state)] = state
 
     def set_thread_args(self, args_per_thread: list[dict[int, float]]) -> None:
-        """Distribute kernel ABI registers; global thread *g* runs on
-        corelet ``g // n_threads``, context ``g % n_threads`` - so the four
+        """Record the kernel ABI registers for the functional phase; global
+        thread *g* runs on corelet ``g // n_threads``, context
+        ``g % n_threads`` - so the four
         contexts of a corelet process records whose row slabs coincide."""
         self._thread_args = args_per_thread
-        n_threads = self.config.core.n_threads
-        expected = self.config.core.n_cores * n_threads
+        expected = self.config.core.n_cores * self.config.core.n_threads
         if len(args_per_thread) != expected:
             raise ValueError(f"need {expected} thread-arg dicts, got {len(args_per_thread)}")
-        for g, args in enumerate(args_per_thread):
-            self.corelets[g // n_threads].set_thread_args(g % n_threads, args)
 
     def start(self) -> None:
-        if self.backend == "vector":
-            plan = build_plan(self, self.config.core.n_registers)
-            for c in self.corelets:
-                c.load_plan(plan)
+        plan = build_plan(self, self.config.core.n_registers)
+        for c in self.corelets:
+            c.load_plan(plan)
         row_words = self.config.dram.row_words
         self.prefetch_buffer.start(
             self._input_base // row_words,

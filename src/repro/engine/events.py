@@ -10,12 +10,9 @@ Design notes
   deterministic.
 * ``cancel`` is O(1): cancelled events stay in the heap but are skipped on
   pop (standard lazy deletion).
-* The queue implementation is pluggable: ``Engine(scheduler="calendar")``
-  swaps the binary heap for the calendar queue
-  (:mod:`repro.engine.calendar`), which delivers the *identical* event
-  order (the ``calendar``/``vector`` execution backends rely on this; see
-  docs/backends.md).  The default heap path is kept inlined and untouched
-  — selecting a scheduler costs nothing when you don't.
+* Both execution backends run on this one binary heap.  A run keeps at
+  most a few hundred events pending, where a heap's ``O(log n)`` push
+  and pop are cheap.
 """
 
 from __future__ import annotations
@@ -66,22 +63,11 @@ class Engine:
     100
     """
 
-    def __init__(self, scheduler: str = "heap") -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         self._heap: list[Event] = []
         self._seq: int = 0
         self._live: int = 0  # number of non-cancelled events in the heap
-        self.scheduler = scheduler
-        if scheduler == "heap":
-            self._queue = None
-        elif scheduler == "calendar":
-            from repro.engine.calendar import CalendarQueue
-
-            self._queue = CalendarQueue()
-        else:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; available: heap, calendar"
-            )
         #: optional delivery observer: ``on_deliver(ev)`` fires before each
         #: callback and ``on_return(ev)`` (if defined) after it returns.
         #: Used by :mod:`repro.sanitize` for monotonicity checking / the
@@ -103,10 +89,7 @@ class Engine:
             raise ValueError(f"cannot schedule at t={time}ps; engine is at t={self.now}ps")
         ev = Event(int(time), self._seq, fn, args)
         self._seq += 1
-        if self._queue is None:
-            heapq.heappush(self._heap, ev)
-        else:
-            self._queue.push(ev)
+        heapq.heappush(self._heap, ev)
         self._live += 1
         return ev
 
@@ -131,9 +114,6 @@ class Engine:
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next live event, or ``None`` if idle."""
-        if self._queue is not None:
-            ev = self._queue.peek_min()
-            return ev.time if ev is not None else None
         heap = self._heap
         while heap and heap[0].cancelled:
             heapq.heappop(heap)
@@ -153,14 +133,6 @@ class Engine:
 
     def step(self) -> bool:
         """Deliver the next live event.  Returns ``False`` when idle."""
-        if self._queue is not None:
-            ev = self._queue.pop_min()
-            if ev is None:
-                return False
-            self._live -= 1
-            self.now = ev.time
-            self._deliver(ev)
-            return True
         heap = self._heap
         while heap:
             ev = heapq.heappop(heap)
@@ -183,8 +155,6 @@ class Engine:
         next-event-beyond-``until`` case.  Hitting ``max_events`` does not
         advance to ``until``: undelivered events remain in the window.
         """
-        if self._queue is not None:
-            return self._run_calendar(until, max_events)
         delivered = 0
         heap = self._heap
         while heap:
@@ -197,57 +167,6 @@ class Engine:
             if max_events is not None and delivered >= max_events:
                 return delivered
             heapq.heappop(heap)
-            self._live -= 1
-            self.now = ev.time
-            obs = self.observer
-            if obs is None:
-                ev.fn(*ev.args)
-            else:
-                obs.on_deliver(ev)
-                ev.fn(*ev.args)
-                hook = getattr(obs, "on_return", None)
-                if hook is not None:
-                    hook(ev)
-            delivered += 1
-        if until is not None and self.now < until:
-            self.now = until
-        return delivered
-
-    def _run_calendar(self, until: Optional[int], max_events: Optional[int]) -> int:
-        """The :meth:`run` loop over the calendar queue (same contract)."""
-        delivered = 0
-        queue = self._queue
-        if until is None and max_events is None:
-            # unbounded drain (the main `engine.run()` loop): pop directly.
-            # The general path below peeks before every pop to check the
-            # `until`/`max_events` bounds, and each of peek/pop walks the
-            # calendar's day scan — with no bounds to check, popping
-            # directly halves that work on the hottest engine path.
-            while True:
-                ev = queue.pop_min()
-                if ev is None:
-                    return delivered
-                self._live -= 1
-                self.now = ev.time
-                obs = self.observer
-                if obs is None:
-                    ev.fn(*ev.args)
-                else:
-                    obs.on_deliver(ev)
-                    ev.fn(*ev.args)
-                    hook = getattr(obs, "on_return", None)
-                    if hook is not None:
-                        hook(ev)
-                delivered += 1
-        while True:
-            ev = queue.peek_min()
-            if ev is None:
-                break
-            if until is not None and ev.time > until:
-                break
-            if max_events is not None and delivered >= max_events:
-                return delivered
-            queue.pop_min()
             self._live -= 1
             self.now = ev.time
             obs = self.observer

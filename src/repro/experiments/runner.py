@@ -21,7 +21,7 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.common import ShardIncomplete
 from repro.experiments.report import write_markdown
 from repro.sim.campaign import parse_shard
-from repro.sim.options import ExecOptions
+from repro.sim.options import BACKENDS, ExecOptions
 from repro.sim.store import FingerprintStore
 
 
@@ -69,12 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["reference", "calendar", "vector"],
+        choices=list(BACKENDS),
         default="reference",
         help="execution backend for every simulation (docs/backends.md); "
-        "all three produce bit-identical results - 'vector' replays "
-        "NumPy-batched instruction traces and 'calendar' swaps the event "
-        "heap for a calendar queue, both for wall-clock speed",
+        "both produce bit-identical results and differ only in how the "
+        "instruction traces are computed - 'vector' batches them with "
+        "NumPy for wall-clock speed",
     )
     p.add_argument(
         "--store",

@@ -1,23 +1,29 @@
-"""Per-thread interpreter.
+"""Per-thread interpreter and the ``reference`` backend's MIMD trace producer.
 
-This is the hottest code in the simulator (every simulated instruction
-passes through :func:`step_one`), so it follows the HPC-Python guidance for
-inner loops: flat ``if/elif`` dispatch on integer opcodes, ``__slots__``
-contexts, locals bound once, and no allocation on the common (ALU) path.
+Every instruction of the ``reference`` backend passes through
+:func:`step_one`, so it follows the HPC-Python guidance for inner loops:
+flat ``if/elif`` dispatch on integer opcodes, ``__slots__`` contexts,
+locals bound once, and no allocation on the common (ALU) path.
 
-The interpreter is architecture-agnostic: memory instructions are *not*
-performed here - they are returned as :class:`MemAccess` descriptors and the
-owning architecture model decides latency, routing (prefetch buffer, L1D,
-shared memory, ...) and when to commit the register write.  The program
-counter is advanced at issue time so a blocked load never re-executes.
+:func:`step_one` is architecture-agnostic: memory instructions are *not*
+performed there - they are returned as :class:`MemAccess` descriptors and
+the caller decides how to resolve them.  The program counter is advanced
+at issue time.  :func:`trace_threads` is that caller for the MIMD cores:
+it walks each thread to completion, resolving loads from global memory
+and the thread's live-state partition, and records the same
+:class:`~repro.isa.vector.VectorPlan` the NumPy executor produces.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from repro.isa.instructions import Instr, Op
+from repro.isa.program import Program
+from repro.isa.vector import K_BAR, K_HALT, K_LDG, ThreadTrace, VectorPlan
 
 # integer opcode constants for fast dispatch
 _ADD = int(Op.ADD); _SUB = int(Op.SUB); _MUL = int(Op.MUL); _DIV = int(Op.DIV)
@@ -237,3 +243,88 @@ def step_one(ctx: ThreadContext, ins: Instr) -> Optional[MemAccess]:
         raise ValueError(f"unhandled opcode {op}")
     ctx.pc += 1
     return acc
+
+
+def trace_threads(
+    program: Program,
+    read_word: Callable[[int], float],
+    thread_args: list[dict[int, float]],
+    n_regs: int,
+    state_words: int,
+    initial_state: Optional[np.ndarray] = None,
+) -> VectorPlan:
+    """Run every MIMD thread to completion with :func:`step_one`; return
+    the replay plan :func:`repro.isa.vector.execute` would build.
+
+    Threads share no mutable state, so walking them one after another is
+    exact.  ``read_word`` is the global memory's range-checked word read;
+    ``thread_args`` is in global thread order, and thread ``g`` owns row
+    ``g`` of the ``[T, state_words]`` live-state matrix.
+    """
+    instrs = program.instrs
+    T = len(thread_args)
+    local = np.zeros((T, state_words), dtype=np.float64)
+    if initial_state is not None:
+        local[:, : len(initial_state)] = initial_state
+    traces = []
+    branches, taken, reads, writes = ([0] * T for _ in range(4))
+    for g, args in enumerate(thread_args):
+        ctx = ThreadContext(g, n_regs)
+        ctx.set_args(args)
+        mem = local[g].tolist()
+        tr = ThreadTrace()
+        gap = n_reads = n_writes = 0
+        while True:
+            acc = step_one(ctx, instrs[ctx.pc])
+            if acc is None:
+                if ctx.halted:
+                    tr.gaps.append(gap)
+                    tr.kinds.append(K_HALT)
+                    tr.addrs.append(-1)
+                    break
+                gap += 1
+            elif acc.op == _BAR:
+                tr.gaps.append(gap)
+                tr.kinds.append(K_BAR)
+                tr.addrs.append(-1)
+                gap = 0
+            elif acc.is_global:
+                if acc.is_store:
+                    raise NotImplementedError(
+                        "BMLA Map kernels do not store to global memory "
+                        "(outputs live in local state and are copied out "
+                        "by the host, section IV-E)"
+                    )
+                ctx.commit_load(acc.rd, read_word(acc.addr))
+                tr.gaps.append(gap)
+                tr.kinds.append(K_LDG)
+                tr.addrs.append(acc.addr)
+                gap = 0
+            else:
+                addr = acc.addr
+                if not 0 <= addr < state_words:
+                    raise IndexError(
+                        f"thread {g} local address {addr} exceeds its "
+                        f"{state_words}-word state partition"
+                    )
+                if acc.is_store:
+                    mem[addr] = float(acc.value)  # as the float64 scratchpad holds it
+                    n_writes += 1
+                else:
+                    ctx.commit_load(acc.rd, mem[addr])
+                    n_reads += 1
+                gap += 1
+        traces.append(tr)
+        local[g] = mem
+        branches[g] = ctx.branches
+        taken[g] = ctx.taken_branches
+        reads[g] = n_reads
+        writes[g] = n_writes
+    return VectorPlan(
+        traces=traces,
+        local=local,
+        branches=np.array(branches, dtype=np.int64),
+        taken_branches=np.array(taken, dtype=np.int64),
+        local_reads=np.array(reads, dtype=np.int64),
+        local_writes=np.array(writes, dtype=np.int64),
+    )

@@ -1,9 +1,6 @@
 """NumPy batch functional executor (the ``vector`` backend's first phase).
 
-The reference simulator interprets one instruction per
-:func:`repro.isa.executor.step_one` call inside the event loop.  That is
-exact but slow: interpretation dominates the host profile.  This module
-exploits a structural property of every BMLA kernel to pull the *functional*
+Every BMLA kernel has one structural property that pulls the *functional*
 work out of the event loop entirely:
 
 **threads never share mutable state.**  Global memory is read-only input
@@ -12,19 +9,21 @@ thread-private scratchpad partitions.  Therefore each thread's functional
 trajectory — every register value, branch outcome, and memory address —
 is fully determined by its start state and is *independent of all timing*.
 
-So the ``vector`` backend splits a run in two phases:
+So a MIMD run splits in two phases:
 
-1. **Functional phase (here):** execute all ``T`` hardware threads in
+1. **Functional phase:** compute a :class:`VectorPlan`: per-thread
+   instruction *traces* plus final local memory and per-thread counters.
+   The ``reference`` backend walks each thread with the scalar
+   interpreter (:func:`repro.isa.executor.trace_threads`).  The
+   ``vector`` backend (here) executes all ``T`` hardware threads in
    lockstep as NumPy column operations.  Threads are grouped by PC
    (most-populated PC first); the straight-line basic block at that PC
    (boundaries from :func:`repro.isa.cfg.leader_pcs`) runs as one batched
-   column op per instruction across the whole group.  The output is a
-   :class:`VectorPlan`: per-thread instruction *traces* plus final local
-   memory and per-thread counters.
-2. **Timing phase (:mod:`repro.core.replay`):** the event-driven core
-   model re-runs with the per-instruction interpreter replaced by trace
-   consumption — identical issue order, identical event schedule,
-   identical statistics, at a fraction of the per-issue cost.
+   column op per instruction across the whole group.
+2. **Timing phase (:class:`repro.core.corelet.MimdCore`):** the
+   event-driven core model consumes the traces — the same replay loop
+   for both backends, so the same issue order, event schedule and
+   statistics.
 
 The same machinery drives the SIMT architectures (``gpgpu``/``vws``/
 ``vws-row``): :func:`execute_simt` runs a **PDOM divergence engine** over
@@ -72,8 +71,8 @@ while the scalar interpreter keeps Python ints exact beyond 2**53 —
 irrelevant for every kernel the workload framework can emit (addresses
 and counters stay far below 2**53) and checked nowhere else, but
 documented for honesty.  Fatal kernel errors surface during this phase,
-i.e. *before* simulated time starts, rather than mid-run as in the
-reference.
+i.e. *before* simulated time starts, under both backends for the MIMD
+cores; the SIMT SMs' ``reference`` interpreter still raises them mid-run.
 """
 
 from __future__ import annotations

@@ -60,42 +60,33 @@ TRAVERSAL: dict[str, str] = {
     "vws-row": "interleaved",
 }
 
-#: key -> (processor class, config transform, needs record barriers,
-#: supports the vector trace-replay backend).  Every architecture is
-#: vectorizable: the MIMD cores replay per-thread traces
-#: (:class:`repro.core.replay.ReplayMixin`), and the SIMT SMs replay
-#: per-warp traces from the PDOM divergence engine
-#: (:class:`repro.core.replay.SimtReplay`).
-ARCHITECTURES: dict[str, tuple[type, Callable[[SystemConfig], SystemConfig], bool, bool]] = {
-    "gpgpu": (GpgpuSM, lambda c: c, False, True),
-    "vws": (VwsSM, lambda c: c, False, True),
-    "vws-row": (VwsRowSM, lambda c: _millipede_cfg(c, flow_control=True), False, True),
-    "ssmc": (SsmcProcessor, lambda c: c, False, True),
+#: key -> (processor class, config transform, needs record barriers)
+ARCHITECTURES: dict[str, tuple[type, Callable[[SystemConfig], SystemConfig], bool]] = {
+    "gpgpu": (GpgpuSM, lambda c: c, False),
+    "vws": (VwsSM, lambda c: c, False),
+    "vws-row": (VwsRowSM, lambda c: _millipede_cfg(c, flow_control=True), False),
+    "ssmc": (SsmcProcessor, lambda c: c, False),
     "millipede": (
         MillipedeProcessor,
         lambda c: _millipede_cfg(c, flow_control=True, rate_match=False),
         False,
-        True,
     ),
     "millipede-nofc": (
         MillipedeProcessor,
         lambda c: _millipede_cfg(c, flow_control=False, rate_match=False),
         False,
-        True,
     ),
     "millipede-rm": (
         MillipedeProcessor,
         lambda c: _millipede_cfg(c, flow_control=True, rate_match=True),
         False,
-        True,
     ),
     "millipede-bar": (
         MillipedeProcessor,
         lambda c: _millipede_cfg(c, flow_control=False, record_barriers=True),
         True,
-        True,
     ),
-    "multicore": (MulticoreProcessor, lambda c: c, False, True),
+    "multicore": (MulticoreProcessor, lambda c: c, False),
 }
 
 
@@ -202,7 +193,7 @@ def _execute(
     trace_interval_ps: Optional[int] = None,
 ) -> RunResult:
     """Run one spec with an already-resolved workload object."""
-    proc_cls, transform, needs_barriers, vectorizable = ARCHITECTURES[spec.arch]
+    proc_cls, transform, needs_barriers = ARCHITECTURES[spec.arch]
     cfg = transform(spec.config)
     arch, validate = spec.arch, spec.validate
     n_threads = spec.n_threads
@@ -223,7 +214,7 @@ def _execute(
             f"{built.traversal} traversal; {arch} needs {n_threads} / {traversal}"
         )
 
-    engine = Engine(scheduler=spec.options.scheduler)
+    engine = Engine()
     stats = Stats()
     sanitizer = None
     if spec.sanitize:
@@ -241,9 +232,6 @@ def _execute(
     gm = GlobalMemory.from_array(built.memory_image)
     # layout metadata enables oracle stream prefetch (baselines) and the
     # safe-wait record-span hint (prefetch buffer)
-    extra_kwargs = {"layout": built.layout}
-    if spec.backend == "vector" and vectorizable:
-        extra_kwargs["backend"] = "vector"
     proc = proc_cls(
         engine,
         cfg,
@@ -252,7 +240,8 @@ def _execute(
         stats,
         input_base_word=built.input_base_word,
         input_end_word=built.input_end_word,
-        **extra_kwargs,
+        layout=built.layout,
+        backend=spec.backend,
     )
     if built.initial_state is not None:
         proc.load_initial_state(built.initial_state)

@@ -11,25 +11,26 @@ vocabulary.
 
 Backends
 --------
+Both backends run on the same binary-heap event engine.  On the MIMD
+architectures they differ only in the functional phase, which computes
+every thread's issue trace before simulated time starts; the same
+:class:`repro.core.corelet.MimdCore` replays it.
+
 ===============  ========================================================
-``reference``    per-instruction Python interpreter + binary-heap event
-                 queue (the original, always-available path)
-``calendar``     reference interpreter + the calendar-queue event
-                 scheduler (isolates scheduler equivalence)
+``reference``    scalar interpreter: MIMD threads are walked one
+                 instruction at a time (:func:`repro.isa.executor.
+                 trace_threads`); the SIMT SMs interpret each warp issue
+                 inside the event loop
 ``vector``       NumPy batch interpreter: each processor's threads are
                  functionally executed as vectorized column ops over
-                 basic blocks (:mod:`repro.isa.vector`), then the event
-                 engine replays the recorded traces with the
-                 calendar-queue scheduler.  Bit-identical statistics,
-                 metrics and reduced results.  Covers every registered
-                 architecture: MIMD cores replay per-thread traces, and
-                 the SIMT SMs (``gpgpu``/``vws``/``vws-row``) replay
-                 per-warp traces from the lockstep PDOM divergence
-                 engine.  Pass ``backend="reference"`` explicitly to opt
-                 any run back onto the per-instruction interpreter.
+                 basic blocks (:mod:`repro.isa.vector`).  Covers every
+                 registered architecture: MIMD cores replay per-thread
+                 traces, and the SIMT SMs (``gpgpu``/``vws``/
+                 ``vws-row``) replay per-warp traces from the lockstep
+                 PDOM divergence engine
 ===============  ========================================================
 
-All backends are proven byte-identical by ``tests/test_backends.py``; see
+Both backends are proven byte-identical by ``tests/test_backends.py``; see
 ``docs/backends.md`` for selection guidance and the equivalence argument.
 
 >>> ExecOptions(backend="vector").backend
@@ -43,10 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 
 #: execution backends, in "most reference" to "most optimized" order
-BACKENDS = ("reference", "calendar", "vector")
-
-#: backends that use the calendar-queue event scheduler
-_CALENDAR_BACKENDS = ("calendar", "vector")
+BACKENDS = ("reference", "vector")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -75,11 +73,6 @@ class ExecOptions:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def scheduler(self) -> str:
-        """Event-queue implementation this backend runs on."""
-        return "calendar" if self.backend in _CALENDAR_BACKENDS else "heap"
-
     def replace(self, **kwargs) -> "ExecOptions":
         return dc_replace(self, **kwargs)
 

@@ -1,10 +1,9 @@
-"""The execution-backend contract: options API, calendar queue, and the
-vector backend's bit-identity guarantee.
+"""The execution-backend contract: options API and the vector backend's
+bit-identity guarantee.
 
 ``docs/backends.md`` states the guarantee these tests enforce: for every
-registered architecture and workload, the ``calendar`` and ``vector``
-backends produce **byte-identical** results to the reference
-interpreter — same finish time, same statistics, same energy, same
+registered architecture and workload, the ``vector`` backend produces
+**byte-identical** results to the reference interpreter — same finish time, same statistics, same energy, same
 reduced output, same validation verdict — not merely close ones.  The
 differential sweep here is the acceptance gate; if a change breaks
 identity, the fix goes in the backend, never in the tolerance.
@@ -13,13 +12,10 @@ identity, the fix goes in the backend, never in the tolerance.
 from __future__ import annotations
 
 import pickle
-import random
 
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.engine.calendar import CalendarQueue
-from repro.engine.events import Engine
 from repro.sim.driver import ARCHITECTURES, run
 from repro.sim.options import BACKENDS, ExecOptions
 from repro.sim.spec import RunSpec
@@ -54,7 +50,6 @@ class TestExecOptions:
         o = ExecOptions()
         assert (o.validate, o.sanitize, o.trace, o.backend) == (
             True, False, False, "reference")
-        assert o.scheduler == "heap"
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -64,10 +59,16 @@ class TestExecOptions:
         with pytest.raises(ValueError, match="unknown backend"):
             ExecOptions(backend="jit")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_scheduler_follows_backend(self, backend):
-        expected = "heap" if backend == "reference" else "calendar"
-        assert ExecOptions(backend=backend).scheduler == expected
+    def test_retired_calendar_backend_rejected(self):
+        # a stored spec or manifest that still names the retired
+        # "calendar" backend must fail loudly, naming what is available
+        available = ", ".join(BACKENDS)
+        with pytest.raises(ValueError, match=f"available: {available}"):
+            ExecOptions(backend="calendar")
+        wire = RunSpec("millipede", "count").to_dict()
+        wire["backend"] = "calendar"
+        with pytest.raises(ValueError, match=f"available: {available}"):
+            RunSpec.from_dict(wire)
 
     def test_replace(self):
         o = ExecOptions(sanitize=True)
@@ -198,99 +199,6 @@ class TestApiFacade:
 
 
 # ----------------------------------------------------------------------
-# calendar queue vs. binary heap
-# ----------------------------------------------------------------------
-class TestCalendarQueue:
-    def test_differential_delivery_order(self):
-        # mixed deltas spanning far less / far more than a bucket width,
-        # plus cancellations: both schedulers must agree event-for-event
-        rng = random.Random(1234)
-        deltas = [0, 1, 3, 700, 1429, 100_000, 5_000_000]
-        for _ in range(20):
-            heap_eng, cal_eng = Engine(), Engine(scheduler="calendar")
-            out_h, out_c = [], []
-            cancel_h, cancel_c = [], []
-            plan = [(rng.choice(deltas), i) for i in range(300)]
-            for d, tag in plan:
-                cancel_h.append(heap_eng.schedule(d, out_h.append, tag))
-                cancel_c.append(cal_eng.schedule(d, out_c.append, tag))
-            for k in rng.sample(range(300), 60):
-                heap_eng.cancel(cancel_h[k])
-                cal_eng.cancel(cancel_c[k])
-            n_h = heap_eng.run()
-            n_c = cal_eng.run()
-            assert out_h == out_c
-            assert heap_eng.now == cal_eng.now
-            assert n_h == n_c == 240
-
-    def test_recursive_scheduling_matches_heap(self):
-        rng = random.Random(99)
-        script = [rng.choice([0, 1, 511, 1024, 4096, 1_000_000])
-                  for _ in range(200)]
-
-        def drive(eng):
-            out = []
-
-            def cb(i):
-                out.append((eng.now, i))
-                if i < len(script):
-                    eng.schedule(script[i - 1], cb, i + 1)
-
-            eng.schedule(0, cb, 1)
-            eng.run()
-            return out
-
-        assert drive(Engine()) == drive(Engine(scheduler="calendar"))
-
-    def test_equal_timestamps_fifo(self):
-        eng = Engine(scheduler="calendar")
-        out = []
-        for i in range(10):
-            eng.schedule(50, out.append, i)
-        eng.run()
-        assert out == list(range(10))
-
-    def test_run_until_and_max_events_contract(self):
-        eng = Engine(scheduler="calendar")
-        out = []
-        for t in (100, 200, 300):
-            eng.schedule(t, out.append, t)
-        eng.run(max_events=2)
-        assert out == [100, 200] and eng.now == 200
-        eng.run(until=250)
-        assert eng.now == 250  # advances idle time, holds the 300 event
-        eng.run()
-        assert out == [100, 200, 300] and eng.now == 300
-
-    def test_grow_preserves_order(self):
-        # push far more events than the initial bucket count to force
-        # resizes mid-stream
-        q = CalendarQueue()
-        rng = random.Random(7)
-
-        class Ev:
-            __slots__ = ("time", "seq", "cancelled")
-
-            def __init__(self, time, seq):
-                self.time, self.seq, self.cancelled = time, seq, False
-
-            def __lt__(self, other):
-                return (self.time, self.seq) < (other.time, other.seq)
-
-        evs = [Ev(rng.randrange(0, 10_000_000), i) for i in range(3000)]
-        for e in evs:
-            q.push(e)
-        popped = []
-        while q.peek_min() is not None:
-            popped.append(q.pop_min())
-        assert popped == sorted(evs, key=lambda e: (e.time, e.seq))
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            Engine(scheduler="wheel")
-
-
-# ----------------------------------------------------------------------
 # the bit-identity guarantee (ISSUE 6 acceptance gate)
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
@@ -332,15 +240,6 @@ class TestBackendEquivalence:
         (proc,) = procs.values()
         assert proc._replay is None
         assert fingerprint(ref) == fingerprint(vec)
-
-    @pytest.mark.parametrize("wl", ["count", "kmeans", "variance"])
-    @pytest.mark.parametrize("arch", ["millipede", "ssmc"])
-    def test_calendar_bit_identical(self, arch, wl):
-        """Calendar scheduler alone (reference interpreter) is also exact."""
-        ref = run(RunSpec(arch, wl, n_records=N_RECORDS))
-        cal = run(RunSpec(arch, wl, n_records=N_RECORDS,
-                          options=ExecOptions(backend="calendar")))
-        assert fingerprint(ref) == fingerprint(cal)
 
     @pytest.mark.parametrize("arch", ["millipede", "millipede-bar",
                                       "millipede-rm", "ssmc", "multicore",

@@ -109,9 +109,8 @@ class TestLocalMemorySafety:
         src = "stl r1, r0, 300\nhalt"  # beyond the 256-word partition
         eng, proc, gm, stats = make_processor(src, n_cores=4, n_threads=4)
         proc.set_thread_args([{1: t, 2: 16, 3: 0, 4: 0} for t in range(16)])
-        proc.start()
         with pytest.raises(IndexError, match="partition"):
-            eng.run()
+            proc.start()
 
 
 class TestRateMatchController:

@@ -161,6 +161,22 @@ class TestFaultInjection:
             "millipede", "count", {"pft-retrigger"},
             lambda inj, proc, eng: inj.rearm_pft(proc.prefetch_buffer))
 
+    @pytest.mark.parametrize("backend", ["reference", "vector"])
+    def test_corrupted_event_time_caught_mid_run(self, backend):
+        # the corruption is scheduled by the probe, so it rewinds an
+        # event the simulation itself queued, on either backend
+        inj = FaultInjector()
+
+        def probe(proc, engine, sanitizer):
+            engine.schedule(1000, inj.corrupt_event_time, engine)
+
+        spec = RunSpec("millipede", "count", n_records=N,
+                       options=SANITIZED.replace(backend=backend))
+        with pytest.raises(InvariantViolation) as exc:
+            run(spec, probe=probe)
+        assert exc.value.invariant == "time-monotonicity"
+        assert inj.injected
+
     def test_violation_carries_snapshot(self):
         v = expect_violation(
             "millipede", "count", {"df-consistency", "df-head-evict"},

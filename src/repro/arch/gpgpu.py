@@ -21,6 +21,11 @@ Model summary (sections III-E and V):
   (one I-cache access for all lanes); ALU energy is charged per *active*
   lane; inactive lanes under divergence and empty issue slots burn idle
   energy.
+* **Execution**: warps share no mutable state, so what a warp computes
+  never depends on timing.  :func:`repro.core.replay.build_simt_plan`
+  computes every warp's issue trace before simulated time starts, and
+  the SM replays the traces (:meth:`GpgpuSM._exec_warp`) under either
+  backend.
 
 The class is parameterized by warp width and issue slots so
 :mod:`repro.arch.vws` can model Variable Warp Sizing (8 concurrent 4-wide
@@ -35,34 +40,34 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.config import SystemConfig, WORD_BYTES
+from repro.core.replay import build_simt_plan
 from repro.dram.controller import MemoryController
 from repro.dram.dram import GlobalMemory
 from repro.engine.clock import Clock
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.isa.executor import ThreadContext, branch_taken, exec_non_memory
 from repro.isa.instructions import Op
 from repro.isa.program import Program
+from repro.isa.vector import K_LDG, SimtPlan
 from repro.mem.dcache import SetAssocCache
 from repro.mem.prefetcher import BlockStream, SequentialPrefetcher, sm_block_schedule
 from repro.mem.shared_memory import BankedSharedMemory
 
-_LDG = int(Op.LDG); _STG = int(Op.STG); _LDL = int(Op.LDL); _STL = int(Op.STL)
-_J = int(Op.J); _HALT = int(Op.HALT)
+_LDG = int(Op.LDG); _J = int(Op.J); _HALT = int(Op.HALT)
 _BEQ = int(Op.BEQ); _BNEZ = int(Op.BNEZ)
 
 _CHUNK_CYCLES = 8
 
 
 class _Warp:
-    """One warp: lanes in lockstep under a PDOM reconvergence stack."""
+    """One warp's issue state; its PDOM reconvergence stack evolves only
+    under an observer (see :meth:`GpgpuSM._exec_warp_observed`)."""
 
-    __slots__ = ("wid", "lanes", "stack", "ready_at", "blocked", "done", "full_mask")
+    __slots__ = ("wid", "stack", "ready_at", "blocked", "done", "full_mask")
 
-    def __init__(self, wid: int, lanes: list[ThreadContext], program_len: int):
+    def __init__(self, wid: int, width: int, program_len: int):
         self.wid = wid
-        self.lanes = lanes
-        self.full_mask = (1 << len(lanes)) - 1
+        self.full_mask = (1 << width) - 1
         #: stack of [reconv_pc, next_pc, mask]; bottom reconverges at exit
         self.stack: list[list[int]] = [[program_len, 0, self.full_mask]]
         self.ready_at = 0
@@ -143,12 +148,7 @@ class GpgpuSM:
         self._input_end = input_end_word
 
         n_warps = self.n_threads_total // self.width
-        plen = len(program)
-        self.warps = [
-            _Warp(w, [ThreadContext(w * self.width + l, core_cfg.n_registers)
-                      for l in range(self.width)], plen)
-            for w in range(n_warps)
-        ]
+        self.warps = [_Warp(w, self.width, len(program)) for w in range(n_warps)]
 
         self.t = 0
         self.pending = 0
@@ -160,12 +160,16 @@ class GpgpuSM:
         #: ``on_warp_instr(warp)`` before each warp instruction and
         #: ``on_warp_done(warp)`` at halt.  Must not mutate state.
         self.observer = None
-        #: launch state captured for the vector backend's functional phase
+        #: launch state for the functional phase
         self._thread_args: Optional[list] = None
         self._initial_state = None
-        self._replay = None
+        self._plan: Optional[SimtPlan] = None
+        #: final per-thread live state, ``[T, state_words]``, set at finish
+        self._local = None
 
-        # accounting
+        # accounting (the functional counters are restored at finish)
+        self.instructions = 0
+        self.branches = 0
         self.warp_instructions = 0      # I-cache fetches (amortized)
         self.active_lane_slots = 0      # ALU-energy units
         self.divergence_idle_slots = 0  # lanes masked off under divergence
@@ -178,15 +182,12 @@ class GpgpuSM:
     # setup
     # ------------------------------------------------------------------
     def load_initial_state(self, state) -> None:
-        """Preload every thread's shared-memory state partition (striped so
-        thread g's word a lands at physical a * T + g)."""
+        """Preload every thread's shared-memory state partition."""
         if len(state) > self.state_words:
             raise ValueError(
                 f"initial state of {len(state)} words exceeds the "
                 f"{self.state_words}-word per-thread partition"
             )
-        view = self.shared_mem.data.reshape(-1, self.n_threads_total)
-        view[: len(state), :] = np.asarray(state)[:, None]
         self._initial_state = np.asarray(state, dtype=np.float64)
 
     def set_thread_args(self, args_per_thread: list[dict[int, float]]) -> None:
@@ -194,36 +195,24 @@ class GpgpuSM:
             raise ValueError(
                 f"need {self.n_threads_total} thread-arg dicts, got {len(args_per_thread)}"
             )
-        for g, args in enumerate(args_per_thread):
-            self.warps[g // self.width].lanes[g % self.width].set_args(args)
         self._thread_args = args_per_thread
 
     def start(self) -> None:
-        if self.backend == "vector":
-            from repro.core.replay import SimtReplay, build_simt_plan
-
-            plan = build_simt_plan(self, self.config.core.n_registers)
-            self._replay = SimtReplay(self, plan)
-            # swap the per-warp-issue hot path for trace replay; with a
-            # sanitizer attached, the observed variant keeps the live
-            # PDOM stacks evolving for it
-            self._exec_warp = (
-                self._replay.exec_warp_observed
-                if self.observer is not None
-                else self._replay.exec_warp
-            )
+        """Run the functional phase, then replay its warp traces."""
+        plan = build_simt_plan(self, self.config.core.n_registers)
+        traces = plan.warp_traces
+        self._plan = plan
+        self._gaps = [tr.gaps for tr in traces]
+        self._kinds = [tr.kinds for tr in traces]
+        self._payloads = [tr.payloads for tr in traces]
+        self._tmasks = [tr.tmasks for tr in traces]
+        self._gap_rem = [(g[0] if g else 0) for g in self._gaps]
+        self._ev = [0] * len(traces)   # next trace event
+        self._ldg = [0] * len(traces)  # next load payload (observed)
+        self._br = [0] * len(traces)   # next branch taken-mask (observed)
+        if self.observer is not None:
+            self._exec_warp = self._exec_warp_observed
         self._schedule_run(self.engine.now)
-
-    # ------------------------------------------------------------------
-    # shared-memory striping: thread g's private word a -> bank g % 32
-    # ------------------------------------------------------------------
-    def _translate_shared(self, thread_id: int, addr: int) -> int:
-        if not 0 <= addr < self.state_words:
-            raise IndexError(
-                f"thread {thread_id} shared-memory address {addr} exceeds "
-                f"its {self.state_words}-word state partition"
-            )
-        return addr * self.n_threads_total + thread_id
 
     # ------------------------------------------------------------------
     # main loop
@@ -249,7 +238,6 @@ class GpgpuSM:
         n = len(warps)
 
         while True:
-            issued_lanes = 0
             issued = 0
             start = self._rr
             scanned = 0
@@ -260,7 +248,7 @@ class GpgpuSM:
                     continue
                 issued += 1
                 self._rr = (start + scanned) % n
-                issued_lanes += self._exec_warp(w, t)
+                self._exec_warp(w, t)
                 w.ready_at = t + gap
 
             if issued == 0:
@@ -291,121 +279,69 @@ class GpgpuSM:
         return self.config.core.issue_gap_cycles
 
     # ------------------------------------------------------------------
-    # warp execution
+    # warp issue: trace replay
     # ------------------------------------------------------------------
-    def _exec_warp(self, warp: _Warp, t: int) -> int:
-        """Execute one warp instruction; returns the active lane count."""
-        if self.observer is not None:
-            self.observer.on_warp_instr(warp)
-        top = warp.stack[-1]
-        reconv, pc, mask = top
-        ins = self.program.instrs[pc]
-        op = ins.op
-        lanes = warp.lanes
-        width = self.width
+    def _exec_warp(self, warp: _Warp, t: int) -> None:
+        """Issue one warp instruction off the warp's trace: use up a pure
+        issue, or raise the recorded event (block on a global load with
+        the recorded per-lane addresses, or retire the warp at halt)."""
+        w = warp.wid
+        g = self._gap_rem[w]
+        if g:
+            self._gap_rem[w] = g - 1
+            return
+        i = self._ev[w]
+        self._ev[w] = i + 1
+        gaps = self._gaps[w]
+        self._gap_rem[w] = gaps[i + 1] if i + 1 < len(gaps) else 0
+        if self._kinds[w][i] == K_LDG:
+            self._block_on_load(warp, t, self._payloads[w][i][1])
+        else:  # K_HALT
+            warp.done = True
 
-        active = [l for l in range(width) if (mask >> l) & 1]
-        n_active = len(active)
-        self.warp_instructions += 1
-        self.active_lane_slots += n_active
-        self.divergence_idle_slots += width - n_active
+    def _exec_warp_observed(self, warp: _Warp, t: int) -> None:
+        """The replay with an observer attached: also evolve the warp's
+        live PDOM stack, one instruction at a time.
+
+        The NumPy producer moves its stacks once per basic block, so the
+        per-issue stack states the sanitizer checks (``simt-mask``,
+        ``simt-dropped-pop``, ``simt-unbalanced-stack``) exist only if
+        something replays the recorded branch taken-masks.  This does,
+        under both backends, decoding the program at the stack's top PC;
+        it also routes every pop through :meth:`_pop_reconverged`, which
+        ``FaultInjector.drop_reconv_pop`` wraps.
+        """
+        self.observer.on_warp_instr(warp)
+        top = warp.stack[-1]
+        pc = top[1]
+        ins = self.program.instrs[pc]
+        op = int(ins.op)
+        w = warp.wid
 
         if _BEQ <= op <= _BNEZ:
-            taken_mask = 0
-            for l in active:
-                ctx = lanes[l]
-                ctx.instr_count += 1
-                ctx.branches += 1
-                if branch_taken(ctx, ins):
-                    ctx.taken_branches += 1
-                    taken_mask |= 1 << l
-            if taken_mask == mask:
-                self.uniform_branches += 1
-                top[1] = ins.target
-            elif taken_mask == 0:
-                self.uniform_branches += 1
-                top[1] = pc + 1
+            i = self._br[w]
+            self._br[w] = i + 1
+            tm = self._tmasks[w][i]
+            mask = top[2]
+            if tm == mask or tm == 0:
+                top[1] = ins.target if tm else pc + 1
             else:
-                self.divergent_branches += 1
                 r = ins.reconv if ins.reconv is not None else len(self.program)
                 top[1] = r  # this entry becomes the reconvergence point
-                warp.stack.append([r, pc + 1, mask & ~taken_mask])
-                warp.stack.append([r, ins.target, taken_mask])
-                # stack push/pop + mask regeneration pipeline penalty
-                pen = self.config.gpgpu.divergence_penalty_cycles
-                if pen:
-                    warp.ready_at = t + pen * self.clock.period_ps
-            self._pop_reconverged(warp)
-            return n_active
-
-        if op == _HALT:
-            if mask != warp.full_mask:
-                raise AssertionError(
-                    f"warp {warp.wid} executed halt with divergent mask "
-                    f"{mask:0{width}b}; kernels must exit uniformly"
-                )
-            for l in active:
-                lanes[l].instr_count += 1
-                lanes[l].halted = True
+                warp.stack.append([r, pc + 1, mask & ~tm])
+                warp.stack.append([r, ins.target, tm])
+        elif op == _HALT:
             warp.done = True
-            if self.observer is not None:
-                self.observer.on_warp_done(warp)
-            return n_active
-
-        if op == _LDL or op == _STL:
-            phys = []
-            for l in active:
-                ctx = lanes[l]
-                ctx.instr_count += 1
-                if op == _LDL:
-                    addr = int(ctx.regs[ins.rs] + ins.imm)
-                    p = self._translate_shared(ctx.tid, addr)
-                    ctx.commit_load(ins.rd, self.shared_mem.read(p))
-                else:
-                    addr = int(ctx.regs[ins.rt] + ins.imm)
-                    p = self._translate_shared(ctx.tid, addr)
-                    self.shared_mem.write(p, ctx.regs[ins.rs])
-                phys.append(p)
-            extra = self.shared_mem.conflict_cycles(phys) - 1
-            if extra > 0:
-                warp.ready_at = t + extra * self.clock.period_ps
+            self.observer.on_warp_done(warp)
+            return
+        elif op == _LDG:
+            i = self._ldg[w]
+            self._ldg[w] = i + 1
             top[1] = pc + 1
-            self._pop_reconverged(warp)
-            return n_active
-
-        if op == _LDG:
-            addr_lanes = []
-            for l in active:
-                ctx = lanes[l]
-                ctx.instr_count += 1
-                addr_lanes.append((l, int(ctx.regs[ins.rs] + ins.imm)))
-            top[1] = pc + 1
-            self._pop_reconverged(warp)
-            warp.blocked = True
-            self.pending += 1
-            self.engine.schedule_at(t, self._issue_global, warp, ins.rd, addr_lanes)
-            return n_active
-
-        if op == _STG:
-            raise NotImplementedError(
-                "BMLA Map kernels do not store to global memory (section IV-E)"
-            )
-
-        if op == _J:
-            for l in active:
-                lanes[l].instr_count += 1
-            top[1] = ins.target
-            self._pop_reconverged(warp)
-            return n_active
-
-        # plain ALU / immediate / NOP / BAR: same next pc for all lanes
-        for l in active:
-            ctx = lanes[l]
-            ctx.pc = pc
-            exec_non_memory(ctx, ins)
-        top[1] = pc + 1
+            self._block_on_load(warp, t, self._payloads[w][i][1])
+        else:
+            top[1] = ins.target if op == _J else pc + 1
         self._pop_reconverged(warp)
-        return n_active
 
     def _pop_reconverged(self, warp: _Warp) -> None:
         stack = warp.stack
@@ -415,29 +351,44 @@ class GpgpuSM:
     # ------------------------------------------------------------------
     # global-memory path
     # ------------------------------------------------------------------
-    def _issue_global(self, warp: _Warp, rd: int, addr_lanes: list[tuple[int, int]]) -> None:
+    def _block_on_load(self, warp: _Warp, t: int, addr_lanes: list) -> None:
+        warp.blocked = True
+        self.pending += 1
+        self.engine.schedule_at(t, self._issue_global, warp, addr_lanes)
+
+    def _issue_global(self, warp: _Warp, addr_lanes: list[tuple[int, int]]) -> None:
+        """Engine event at the load's issue time: demand the warp's words
+        (the functional phase already committed the loaded values)."""
         def on_all_ready(ready_ps: int) -> None:
-            for l, addr in addr_lanes:
-                warp.lanes[l].commit_load(rd, self.global_mem.read_word(addr))
             warp.blocked = False
             self.pending -= 1
             warp.ready_at = ready_ps + self.clock.period_ps
             self._schedule_run(max(self.t, warp.ready_at))
 
-        n_tx = self._input_port([a for _, a in addr_lanes], on_all_ready)
+        n_tx = self.prefetcher.demand_access_multi(
+            [a for _, a in addr_lanes], on_all_ready)
         self.mem_transactions += n_tx
         if n_tx > 1:
             # port serialization: one extra cycle per extra transaction
             warp.ready_at += (n_tx - 1) * self.clock.period_ps
 
-    def _input_port(self, addrs: list[int], on_all_ready: Callable[[int], None]) -> int:
-        """Route a coalesced warp load; returns the transaction count."""
-        return self.prefetcher.demand_access_multi(addrs, on_all_ready)
-
     # ------------------------------------------------------------------
     def _finish(self, t: int) -> None:
-        if self._replay is not None:
-            self._replay.restore()
+        """Install the functional phase's end state and counters, release
+        the traces, then announce completion."""
+        plan = self._plan
+        self._local = plan.local
+        self.instructions = int(plan.instr_count.sum())
+        self.branches = int(plan.branches.sum())
+        self.shared_mem.accesses = plan.shared_accesses
+        self.shared_mem.conflict_extra_cycles = plan.conflict_extra
+        self.warp_instructions = plan.warp_instructions
+        self.active_lane_slots = plan.active_lane_slots
+        self.divergence_idle_slots = plan.divergence_idle_slots
+        self.divergent_branches = plan.divergent_branches
+        self.uniform_branches = plan.uniform_branches
+        self._plan = self._gaps = self._kinds = None
+        self._payloads = self._tmasks = None
         self.finish_ps = t
         self.t = t
         self.stats.set("proc.finish_ps", t)
@@ -452,21 +403,14 @@ class GpgpuSM:
     # results
     # ------------------------------------------------------------------
     def thread_states(self) -> list:
-        """Per-thread state arrays, de-striped from shared memory."""
-        out = []
-        for g in range(self.n_threads_total):
-            state = np.empty(self.state_words, dtype=np.float64)
-            for a in range(self.state_words):
-                state[a] = self.shared_mem.data[a * self.n_threads_total + g]
-            out.append(state)
-        return out
+        """Per-thread final state arrays (rows of the functional phase's
+        live-state matrix)."""
+        return list(self._local)
 
     def collect(self) -> dict[str, float]:
-        instructions = sum(ctx.instr_count for w in self.warps for ctx in w.lanes)
-        branches = sum(ctx.branches for w in self.warps for ctx in w.lanes)
         out = {
-            "instructions": instructions,
-            "branches": branches,
+            "instructions": self.instructions,
+            "branches": self.branches,
             "warp_instructions": self.warp_instructions,
             "active_lane_slots": self.active_lane_slots,
             "divergence_idle_slots": self.divergence_idle_slots,

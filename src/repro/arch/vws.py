@@ -16,8 +16,6 @@ buffer, with each 4-wide warp acting as one consumption unit.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.arch.gpgpu import GpgpuSM
 from repro.config import SystemConfig, VwsConfig
 from repro.mem.prefetch_buffer import PrefetchBuffer
@@ -81,13 +79,7 @@ class VwsRowSM(VwsSM):
         )
         super().start()
 
-    def _input_port(self, addrs: list[int], on_all_ready: Callable[[int], None]) -> int:
-        # the PB needs the consumer id; recover the warp from the addresses'
-        # thread mapping is fragile, so _issue_global passes through the
-        # warp via a closure set just before the call
-        raise RuntimeError("VwsRowSM routes loads in _issue_global directly")
-
-    def _issue_global(self, warp, rd: int, addr_lanes: list) -> None:
+    def _issue_global(self, warp, addr_lanes: list) -> None:
         remaining = len(addr_lanes)
         latest = self.engine.now
 
@@ -96,8 +88,6 @@ class VwsRowSM(VwsSM):
             remaining -= 1
             latest = max(latest, ready_ps)
             if remaining == 0:
-                for l, addr in addr_lanes:
-                    warp.lanes[l].commit_load(rd, self.global_mem.read_word(addr))
                 warp.blocked = False
                 self.pending -= 1
                 warp.ready_at = latest + self.clock.period_ps

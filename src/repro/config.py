@@ -121,8 +121,10 @@ class GpgpuConfig:
     #: the SM's single stream feeds 4 concurrent warps, so it prefetches
     #: deeper than the per-core MIMD streams
     prefetch_degree: int = 6
-    #: pipeline cycles lost per divergent branch (reconvergence-stack push/
-    #: pop, active-mask regeneration); 1-3 cycles in real SIMT hardware
+    #: meant as the pipeline cycles lost per divergent branch (stack push/
+    #: pop, mask regeneration; 1-3 in real SIMT hardware), but nothing reads
+    #: it: it never changed timing (docs/backends.md).  Kept because it is
+    #: part of every RunSpec.content_hash.
     divergence_penalty_cycles: int = 2
 
 

@@ -164,7 +164,7 @@ class MimdCore:
             # rotation position i issues at t + (r*n + i)*period and is
             # re-ready exactly one rotation later.  Leap all K rotations
             # in O(n): the per-issue loop below would produce the very
-            # same t/_rr/ready_at/instr_count trajectory with no idle
+            # same t/_rr/ready_at/issued trajectory with no idle
             # terms and no engine interaction, so every observable -
             # including the float ``idle_cycles`` sum - is untouched.
             if dense and chunk_end is None:
@@ -183,7 +183,6 @@ class MimdCore:
                     leap = k_min * n * period
                     for i in range(n):
                         s = (start + i) % n
-                        threads[s].instr_count += k_min
                         gap_rem[s] -= k_min
                         ready_at[s] = t + leap + i * period
                     self.issued += k_min * n
@@ -218,7 +217,6 @@ class MimdCore:
 
             self._rr = (slot + 1) % n
             th = threads[slot]
-            th.instr_count += 1
             self.issued += 1
             ready_at[slot] = t + gap
 
@@ -316,7 +314,7 @@ class MimdCore:
     # ------------------------------------------------------------------
     @property
     def instructions(self) -> int:
-        return sum(th.instr_count for th in self.threads)
+        return self.issued
 
     @property
     def dynamic_branches(self) -> int:

@@ -18,7 +18,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.assembler import assemble, AssemblyError
 from repro.isa.program import Program
-from repro.isa.executor import ThreadContext, Outcome, MemAccess, step_one, branch_taken, exec_non_memory
+from repro.isa.executor import ThreadContext, MemAccess, step_one, branch_taken, exec_non_memory
 
 __all__ = [
     "Instr",
@@ -32,7 +32,6 @@ __all__ = [
     "AssemblyError",
     "Program",
     "ThreadContext",
-    "Outcome",
     "MemAccess",
     "step_one",
     "branch_taken",

@@ -1,4 +1,4 @@
-"""Per-thread interpreter and the ``reference`` backend's MIMD trace producer.
+"""Per-thread interpreter and the ``reference`` backend's trace producers.
 
 Every instruction of the ``reference`` backend passes through
 :func:`step_one`, so it follows the HPC-Python guidance for inner loops:
@@ -12,6 +12,11 @@ at issue time.  :func:`trace_threads` is that caller for the MIMD cores:
 it walks each thread to completion, resolving loads from global memory
 and the thread's live-state partition, and records the same
 :class:`~repro.isa.vector.VectorPlan` the NumPy executor produces.
+:func:`trace_warps` is the SIMT counterpart: it walks each warp under its
+PDOM reconvergence stack with :func:`branch_taken` and
+:func:`exec_non_memory` and records the
+:class:`~repro.isa.vector.SimtPlan` of
+:func:`repro.isa.vector.execute_simt`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ import numpy as np
 
 from repro.isa.instructions import Instr, Op
 from repro.isa.program import Program
-from repro.isa.vector import K_BAR, K_HALT, K_LDG, ThreadTrace, VectorPlan
+from repro.isa.vector import (K_BAR, K_HALT, K_LDG, SimtPlan, ThreadTrace,
+                              VectorPlan, WarpTrace)
 
 # integer opcode constants for fast dispatch
 _ADD = int(Op.ADD); _SUB = int(Op.SUB); _MUL = int(Op.MUL); _DIV = int(Op.DIV)
@@ -38,14 +44,6 @@ _BEQ = int(Op.BEQ); _BNE = int(Op.BNE); _BLT = int(Op.BLT); _BGE = int(Op.BGE)
 _BEQZ = int(Op.BEQZ); _BNEZ = int(Op.BNEZ); _J = int(Op.J)
 _LDG = int(Op.LDG); _STG = int(Op.STG); _LDL = int(Op.LDL); _STL = int(Op.STL)
 _HALT = int(Op.HALT); _NOP = int(Op.NOP); _BAR = int(Op.BAR)
-
-
-class Outcome:
-    """Instruction classification returned by :func:`step_one`."""
-
-    OK = 0      #: completed ALU/control instruction
-    MEM = 1     #: memory access pending (see the returned MemAccess)
-    HALT = 2    #: thread finished
 
 
 class MemAccess:
@@ -69,7 +67,7 @@ class MemAccess:
 class ThreadContext:
     """Architectural state of one hardware thread."""
 
-    __slots__ = ("tid", "regs", "pc", "halted", "branches", "taken_branches", "instr_count")
+    __slots__ = ("tid", "regs", "pc", "halted", "branches", "taken_branches")
 
     def __init__(self, tid: int, n_regs: int = 32):
         self.tid = tid
@@ -78,7 +76,6 @@ class ThreadContext:
         self.halted = False
         self.branches = 0
         self.taken_branches = 0
-        self.instr_count = 0
 
     def set_args(self, args: dict[int, float]) -> None:
         """Initialize argument registers (the kernel ABI)."""
@@ -116,16 +113,16 @@ def branch_taken(ctx: ThreadContext, ins: Instr) -> bool:
     raise ValueError(f"not a conditional branch: {ins.text}")
 
 
-def exec_non_memory(ctx: ThreadContext, ins: Instr) -> int:
-    """Execute one ALU / control instruction; returns an Outcome code.
+def exec_non_memory(ctx: ThreadContext, ins: Instr) -> None:
+    """Execute one ALU / control instruction.
 
-    Used directly by the SIMT lane loop; MIMD cores go through
-    :func:`step_one` which also classifies memory operations.
+    Used directly by :func:`trace_warps` for the active lanes of a warp;
+    MIMD threads go through :func:`step_one`, which also classifies
+    memory operations.
     """
     regs = ctx.regs
     op = ins.op
     rd = ins.rd
-    ctx.instr_count += 1
 
     if op == _ADD:
         v = regs[ins.rs] + regs[ins.rt]
@@ -186,13 +183,13 @@ def exec_non_memory(ctx: ThreadContext, ins: Instr) -> int:
     elif op == _NOP or op == _BAR:
         # SIMT warps are implicitly synchronized; BAR is a NOP for them
         ctx.pc += 1
-        return Outcome.OK
+        return
     elif op == _J:
         ctx.pc = ins.target
-        return Outcome.OK
+        return
     elif op == _HALT:
         ctx.halted = True
-        return Outcome.HALT
+        return
     elif _BEQ <= op <= _BNEZ:
         ctx.branches += 1
         if branch_taken(ctx, ins):
@@ -200,14 +197,13 @@ def exec_non_memory(ctx: ThreadContext, ins: Instr) -> int:
             ctx.pc = ins.target
         else:
             ctx.pc += 1
-        return Outcome.OK
+        return
     else:
         raise ValueError(f"exec_non_memory cannot execute {ins.text}")
 
     if rd:
         regs[rd] = v
     ctx.pc += 1
-    return Outcome.OK
 
 
 def step_one(ctx: ThreadContext, ins: Instr) -> Optional[MemAccess]:
@@ -221,7 +217,6 @@ def step_one(ctx: ThreadContext, ins: Instr) -> Optional[MemAccess]:
     op = ins.op
     if op == _BAR:
         # surfaced to the (MIMD) core, which implements the rendezvous
-        ctx.instr_count += 1
         ctx.pc += 1
         return MemAccess(op, -1, 0, 0.0, False, False)
     if op < _LDG or op > _STL:
@@ -229,7 +224,6 @@ def step_one(ctx: ThreadContext, ins: Instr) -> Optional[MemAccess]:
         exec_non_memory(ctx, ins)
         return None
     # memory instruction
-    ctx.instr_count += 1
     regs = ctx.regs
     if op == _LDG:
         acc = MemAccess(op, int(regs[ins.rs] + ins.imm), ins.rd, 0.0, False, True)
@@ -243,6 +237,15 @@ def step_one(ctx: ThreadContext, ins: Instr) -> Optional[MemAccess]:
         raise ValueError(f"unhandled opcode {op}")
     ctx.pc += 1
     return acc
+
+
+_NO_STG = ("BMLA Map kernels do not store to global memory (outputs live "
+           "in local state and are copied out by the host, section IV-E)")
+
+
+def _partition_error(g: int, addr: int, state_words: int) -> IndexError:
+    return IndexError(f"thread {g} local address {addr} exceeds its "
+                      f"{state_words}-word state partition")
 
 
 def trace_threads(
@@ -290,11 +293,7 @@ def trace_threads(
                 gap = 0
             elif acc.is_global:
                 if acc.is_store:
-                    raise NotImplementedError(
-                        "BMLA Map kernels do not store to global memory "
-                        "(outputs live in local state and are copied out "
-                        "by the host, section IV-E)"
-                    )
+                    raise NotImplementedError(_NO_STG)
                 ctx.commit_load(acc.rd, read_word(acc.addr))
                 tr.gaps.append(gap)
                 tr.kinds.append(K_LDG)
@@ -303,10 +302,7 @@ def trace_threads(
             else:
                 addr = acc.addr
                 if not 0 <= addr < state_words:
-                    raise IndexError(
-                        f"thread {g} local address {addr} exceeds its "
-                        f"{state_words}-word state partition"
-                    )
+                    raise _partition_error(g, addr, state_words)
                 if acc.is_store:
                     mem[addr] = float(acc.value)  # as the float64 scratchpad holds it
                     n_writes += 1
@@ -327,4 +323,174 @@ def trace_threads(
         taken_branches=np.array(taken, dtype=np.int64),
         local_reads=np.array(reads, dtype=np.int64),
         local_writes=np.array(writes, dtype=np.int64),
+    )
+
+
+def trace_warps(
+    program: Program,
+    read_word: Callable[[int], float],
+    thread_args: list[dict[int, float]],
+    n_regs: int,
+    state_words: int,
+    width: int,
+    initial_state: Optional[np.ndarray] = None,
+    n_banks: Optional[int] = None,
+) -> SimtPlan:
+    """Walk every warp to completion under its PDOM reconvergence stack;
+    return the replay plan :func:`repro.isa.vector.execute_simt` would
+    build.
+
+    One warp instruction per step over the active lanes.  A divergent
+    branch turns the top frame into the reconvergence point and pushes
+    the else-path, then the taken path; reconverged frames pop after
+    every instruction.  Warps share no mutable state, so walking them one
+    after another is exact.  Arguments follow :func:`trace_threads`;
+    ``width`` consecutive global threads form a warp, and ``n_banks``
+    enables the banked-shared-memory conflict count (thread ``g``'s word
+    ``a`` sits in bank ``(a * T + g) % n_banks``).
+    """
+    T = len(thread_args)
+    if T % width:
+        raise ValueError(f"{T} threads not divisible by {width}-wide warps")
+    instrs = program.instrs
+    plen = len(instrs)
+    full = (1 << width) - 1
+    local = np.zeros((T, state_words), dtype=np.float64)
+    if initial_state is not None:
+        local[:, : len(initial_state)] = initial_state
+    # the striping is conflict-free when T is a bank multiple and a warp
+    # spans at most n_banks lanes; otherwise count every access
+    count_conflicts = n_banks is not None and bool(T % n_banks or width > n_banks)
+    traces = []
+    instr_count, reads, writes = ([0] * T for _ in range(3))
+    branches, taken = [], []
+    issues = active_slots = divergent = uniform = shared = conflict = 0
+    for w in range(T // width):
+        base = w * width
+        lanes = [ThreadContext(base + l, n_regs) for l in range(width)]
+        for ctx in lanes:
+            ctx.set_args(thread_args[ctx.tid])
+        mem = local[base : base + width].tolist()
+        tr = WarpTrace()
+        stack = [[plen, 0, full]]
+        mask = -1
+        active: list[int] = []
+        run = gap = 0  # issues under the current mask; pure issues
+        while True:
+            top = stack[-1]
+            if top[2] != mask:
+                for l in active:
+                    instr_count[base + l] += run
+                issues += run
+                active_slots += run * len(active)
+                mask = top[2]
+                active = [l for l in range(width) if mask >> l & 1]
+                run = 0
+            run += 1
+            pc = top[1]
+            ins = instrs[pc]
+            op = ins.op
+            if _BEQ <= op <= _BNEZ:
+                tm = 0
+                for l in active:
+                    ctx = lanes[l]
+                    ctx.branches += 1
+                    if branch_taken(ctx, ins):
+                        ctx.taken_branches += 1
+                        tm |= 1 << l
+                tr.tmasks.append(tm)
+                if tm == mask or tm == 0:
+                    uniform += 1
+                    top[1] = ins.target if tm else pc + 1
+                else:
+                    divergent += 1
+                    r = ins.reconv if ins.reconv is not None else plen
+                    top[1] = r  # this frame becomes the reconvergence point
+                    stack.append([r, pc + 1, mask & ~tm])
+                    stack.append([r, ins.target, tm])
+                gap += 1
+            elif op == _LDL or op == _STL:
+                load = op == _LDL
+                ra = ins.rs if load else ins.rt
+                banks = {}
+                for l in active:
+                    ctx = lanes[l]
+                    addr = int(ctx.regs[ra] + ins.imm)
+                    if not 0 <= addr < state_words:
+                        raise _partition_error(base + l, addr, state_words)
+                    if load:
+                        ctx.commit_load(ins.rd, mem[l][addr])
+                        reads[base + l] += 1
+                    else:
+                        mem[l][addr] = float(ctx.regs[ins.rs])
+                        writes[base + l] += 1
+                    if count_conflicts:
+                        b = (addr * T + base + l) % n_banks
+                        banks[b] = banks.get(b, 0) + 1
+                shared += len(active)
+                if banks:
+                    conflict += max(banks.values()) - 1
+                top[1] = pc + 1
+                gap += 1
+            elif op == _LDG:
+                pairs = []
+                for l in active:
+                    ctx = lanes[l]
+                    addr = int(ctx.regs[ins.rs] + ins.imm)
+                    ctx.commit_load(ins.rd, read_word(addr))
+                    pairs.append((l, addr))
+                tr.gaps.append(gap)
+                tr.kinds.append(K_LDG)
+                tr.payloads.append((ins.rd, pairs))
+                top[1] = pc + 1
+                gap = 0
+            elif op == _HALT:
+                if mask != full:
+                    raise AssertionError(
+                        f"warp {w} executed halt with divergent mask "
+                        f"{mask:0{width}b}; kernels must exit uniformly"
+                    )
+                for l in active:
+                    instr_count[base + l] += run
+                issues += run
+                active_slots += run * width
+                tr.gaps.append(gap)
+                tr.kinds.append(K_HALT)
+                tr.payloads.append(None)
+                break
+            elif op == _STG:
+                raise NotImplementedError(_NO_STG)
+            elif op == _J:
+                top[1] = ins.target
+                gap += 1
+            else:  # ALU, nop, bar: every active lane, same next pc
+                for l in active:
+                    exec_non_memory(lanes[l], ins)
+                top[1] = pc + 1
+                gap += 1
+            while len(stack) > 1 and stack[-1][1] == stack[-1][0]:
+                stack.pop()
+        traces.append(tr)
+        local[base : base + width] = mem
+        branches += [ctx.branches for ctx in lanes]
+        taken += [ctx.taken_branches for ctx in lanes]
+
+    def counts(xs):
+        return np.array(xs, dtype=np.int64)
+
+    return SimtPlan(
+        warp_traces=traces,
+        local=local,
+        instr_count=counts(instr_count),
+        branches=counts(branches),
+        taken_branches=counts(taken),
+        local_reads=counts(reads),
+        local_writes=counts(writes),
+        warp_instructions=issues,
+        active_lane_slots=active_slots,
+        divergence_idle_slots=issues * width - active_slots,
+        divergent_branches=divergent,
+        uniform_branches=uniform,
+        shared_accesses=shared,
+        conflict_extra=conflict,
     )

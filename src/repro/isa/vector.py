@@ -30,11 +30,14 @@ The same machinery drives the SIMT architectures (``gpgpu``/``vws``/
 dense per-warp reconvergence-stack matrices (one row of reconvergence-PC /
 next-PC / active-mask per stack frame), executing every active lane of a
 warp in lockstep through the shared column-op dispatch and recording
-per-*warp* traces plus the per-branch taken-lane masks the observed replay
-needs to evolve the reference stack discipline.  Warp-stack transitions
-happen only at basic-block boundaries, which is exact: every reconvergence
-PC and every stack next-PC is a block leader, so the reference's
-per-instruction ``_pop_reconverged`` can only ever fire where a block ends.
+per-*warp* traces plus the per-branch taken-lane masks the SM's observed
+replay needs to evolve live PDOM stacks.  The ``reference`` backend's
+SIMT producer is the scalar warp walker
+(:func:`repro.isa.executor.trace_warps`), which builds the same plan.
+Warp-stack transitions happen only at basic-block boundaries, which is
+exact: every reconvergence PC and every stack next-PC is a block leader,
+so the walker's per-instruction reconvergence pop can only ever fire
+where a block ends.
 
 Traces
 ------
@@ -71,8 +74,8 @@ while the scalar interpreter keeps Python ints exact beyond 2**53 —
 irrelevant for every kernel the workload framework can emit (addresses
 and counters stay far below 2**53) and checked nowhere else, but
 documented for honesty.  Fatal kernel errors surface during this phase,
-i.e. *before* simulated time starts, under both backends for the MIMD
-cores; the SIMT SMs' ``reference`` interpreter still raises them mid-run.
+i.e. *before* simulated time starts, under both backends, for the MIMD
+cores and the SIMT SMs alike.
 """
 
 from __future__ import annotations
@@ -127,9 +130,9 @@ class WarpTrace:
     issues on the SIMT cores).  ``payloads[i]`` carries a load's
     ``(rd, [(lane, word_address), ...])`` in ascending active-lane order,
     or ``None`` for the halt.  ``tmasks`` lists the taken-lane mask of
-    every branch the warp issued, in issue order — the observed replay
-    consumes them to evolve the live PDOM stack exactly as the reference
-    interpreter would.
+    every branch the warp issued, in issue order — the SM's observed
+    replay consumes them to evolve the live PDOM stack exactly as the
+    walker did.
     """
 
     __slots__ = ("gaps", "kinds", "payloads", "tmasks")
@@ -318,13 +321,13 @@ def execute_simt(
 
     ``width`` is the warp width (lanes per warp); threads group into warps
     in global-thread order, ``width`` consecutive threads per warp —
-    exactly the reference SM's lane layout.  ``n_banks`` enables
-    banked-shared-memory conflict accounting (the reference charges one
-    access per active lane per local load/store and serializes bank
-    conflicts); ``issue_log``, when given a list, receives one
+    exactly the SM's lane layout.  ``n_banks`` enables
+    banked-shared-memory conflict accounting (one access per active lane
+    per local load/store; a warp access costs the most accesses landing
+    in one bank); ``issue_log``, when given a list, receives one
     ``(wid, block_pc, n_instrs, mask, stack_snapshot)`` tuple per
     warp-block execution — the property tests expand these into the
-    per-issue stream and compare against the reference stack discipline.
+    per-issue stream and compare against an oracle stack discipline.
     """
     if len(thread_args) % width:
         raise ValueError(
@@ -617,17 +620,17 @@ class _VectorMachine(_LockstepMachine):
 class _SimtMachine(_LockstepMachine):
     """PDOM divergence engine: lockstep warps over dense stack matrices.
 
-    The per-warp reconvergence stack of the reference
-    (:class:`repro.arch.gpgpu._Warp`: a list of ``[reconv_pc, next_pc,
-    mask]`` frames) is held here as three ``[n_warps, capacity]`` int64
+    The per-warp reconvergence stack of the scalar walker
+    (:func:`repro.isa.executor.trace_warps`: a list of ``[reconv_pc,
+    next_pc, mask]`` frames) is held here as three ``[n_warps, capacity]`` int64
     matrices plus a depth vector.  Warps group by top-of-stack PC
     (most-populated first); one basic block executes for the whole group
     in lockstep, the active lanes of every grouped warp gathered into one
     flat thread-index vector for the shared column-op dispatch.  Stack
     transitions (branch push, jump/fall advance, reconvergence pops)
     happen only at block ends — exact, because every reconvergence PC and
-    every frame next-PC is a block leader, so the reference's
-    after-every-instruction ``_pop_reconverged`` can only fire there.
+    every frame next-PC is a block leader, so the walker's
+    after-every-instruction pop can only fire there.
     """
 
     def __init__(self, program, blocks, gm_data, R, L, state_words,

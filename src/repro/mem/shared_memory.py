@@ -12,11 +12,12 @@ crossbar energy that makes shared memory "power-hungry" in Fig. 4.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class BankedSharedMemory:
-    """Word-interleaved multi-banked scratchpad with conflict accounting.
+    """Bank geometry and access counters of the word-interleaved scratchpad.
+
+    The contents live in the SIMT functional phase's live-state matrix;
+    the SM installs that phase's access and conflict totals here at finish.
 
     >>> sm = BankedSharedMemory(n_words=64, n_banks=4)
     >>> sm.conflict_cycles([0, 1, 2, 3])   # four distinct banks
@@ -30,7 +31,6 @@ class BankedSharedMemory:
             raise ValueError(f"{n_words} words not divisible by {n_banks} banks")
         self.n_words = n_words
         self.n_banks = n_banks
-        self.data = np.zeros(n_words, dtype=np.float64)
         self.accesses = 0
         self.conflict_extra_cycles = 0
 
@@ -56,13 +56,3 @@ class BankedSharedMemory:
         self.accesses += len(phys_addrs)
         self.conflict_extra_cycles += worst - 1
         return worst
-
-    def read(self, phys_addr: int) -> float:
-        if not 0 <= phys_addr < self.n_words:
-            raise IndexError(f"shared-memory read out of range: {phys_addr}")
-        return float(self.data[phys_addr])
-
-    def write(self, phys_addr: int, value: float) -> None:
-        if not 0 <= phys_addr < self.n_words:
-            raise IndexError(f"shared-memory write out of range: {phys_addr}")
-        self.data[phys_addr] = value

@@ -11,16 +11,17 @@ vocabulary.
 
 Backends
 --------
-Both backends run on the same binary-heap event engine.  On the MIMD
-architectures they differ only in the functional phase, which computes
-every thread's issue trace before simulated time starts; the same
-:class:`repro.core.corelet.MimdCore` replays it.
+Both backends run on the same binary-heap event engine.  They differ
+only in the functional phase, which computes every thread's (SIMT: every
+warp's) issue trace before simulated time starts; the same
+:class:`repro.core.corelet.MimdCore` or
+:class:`repro.arch.gpgpu.GpgpuSM` replays it.
 
 ===============  ========================================================
 ``reference``    scalar interpreter: MIMD threads are walked one
                  instruction at a time (:func:`repro.isa.executor.
-                 trace_threads`); the SIMT SMs interpret each warp issue
-                 inside the event loop
+                 trace_threads`), SIMT warps one warp instruction at a
+                 time (:func:`repro.isa.executor.trace_warps`)
 ``vector``       NumPy batch interpreter: each processor's threads are
                  functionally executed as vectorized column ops over
                  basic blocks (:mod:`repro.isa.vector`).  Covers every

@@ -207,10 +207,10 @@ class TestBackendEquivalence:
     def test_vector_bit_identical(self, arch, wl):
         """All 8 workloads x every registry arch: vector == reference.
 
-        This includes the SIMT arches (gpgpu/vws/vws-row), which run the
-        lockstep PDOM divergence engine and per-warp trace replay — there
-        is no fallback path (test_simt_arches_actually_vectorized pins
-        that).
+        This includes the SIMT arches (gpgpu/vws/vws-row), whose warp
+        traces come from the lockstep PDOM divergence engine under
+        ``vector`` and from the scalar warp walker under ``reference``
+        (test_simt_arches_actually_vectorized pins that).
         """
         ref = run(RunSpec(arch, wl, n_records=N_RECORDS))
         vec = run(RunSpec(arch, wl, n_records=N_RECORDS,
@@ -219,26 +219,31 @@ class TestBackendEquivalence:
         assert ref.validated and vec.validated
 
     @pytest.mark.parametrize("arch", ["gpgpu", "vws", "vws-row"])
-    def test_simt_arches_actually_vectorized(self, arch):
-        """The SIMT arches must run the per-warp trace replay, not quietly
-        fall back to the reference interpreter (the pre-PDOM behaviour):
-        under backend="vector" the SM carries a SimtReplay, and under the
-        explicit backend="reference" escape hatch it does not."""
-        procs = {}
+    def test_simt_arches_actually_vectorized(self, arch, monkeypatch):
+        """Each backend runs its own SIMT producer: ``vector`` calls only
+        the NumPy divergence engine (``execute_simt``) and ``reference``
+        only the scalar warp walker (``trace_warps``).  Otherwise a
+        ``build_simt_plan`` that always picked one producer would pass
+        every identity test."""
+        import repro.core.replay as replay
+        import repro.isa.vector as vector
 
-        def grab(proc, engine, sanitizer):
-            procs[proc.__class__.__name__] = proc
+        calls = []
 
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(vector, "execute_simt", spy(vector.execute_simt))
+        monkeypatch.setattr(replay, "trace_warps", spy(replay.trace_warps))
         vec = run(RunSpec(arch, "count", n_records=N_RECORDS,
-                          options=ExecOptions(backend="vector")), probe=grab)
-        (proc,) = procs.values()
-        assert proc._replay is not None, (
-            f"{arch} fell back to the reference interpreter under "
-            "backend='vector'")
-        procs.clear()
-        ref = run(RunSpec(arch, "count", n_records=N_RECORDS), probe=grab)
-        (proc,) = procs.values()
-        assert proc._replay is None
+                          options=ExecOptions(backend="vector")))
+        assert calls == ["execute_simt"]
+        calls.clear()
+        ref = run(RunSpec(arch, "count", n_records=N_RECORDS))
+        assert calls == ["trace_warps"]
         assert fingerprint(ref) == fingerprint(vec)
 
     @pytest.mark.parametrize("arch", ["millipede", "millipede-bar",
@@ -249,7 +254,7 @@ class TestBackendEquivalence:
         sanitized runs stay identical across backends.  For the SIMT
         arches this exercises the observed replay path: the _SimtChecker
         watches live warp reconvergence stacks, so the replay must evolve
-        them issue-by-issue exactly as the reference did."""
+        them issue-by-issue from the recorded branch taken-masks."""
         opts = ExecOptions(sanitize=True)
         ref = run(RunSpec(arch, "kmeans", n_records=N_RECORDS, options=opts))
         vec = run(RunSpec(arch, "kmeans", n_records=N_RECORDS,

@@ -8,11 +8,15 @@ correctness net under every simulated result (all kernels reduce to these
 semantics plus memory moves, which the golden-model validation covers
 end-to-end).
 
-The two backends differ only in how a MIMD thread's issue trace is
-computed: :func:`repro.isa.executor.trace_threads` walks each thread with
-the scalar interpreter, :func:`repro.isa.vector.execute` runs all threads
-as NumPy column ops.  :class:`TestTraceEquality` checks that both produce
-the same plan, trace for trace and counter for counter.
+The two backends differ only in how the issue traces are computed.  For
+the MIMD cores, :func:`repro.isa.executor.trace_threads` walks each
+thread with the scalar interpreter and :func:`repro.isa.vector.execute`
+runs all threads as NumPy column ops; for the SIMT SMs,
+:func:`repro.isa.executor.trace_warps` walks each warp under its PDOM
+stack and :func:`repro.isa.vector.execute_simt` runs the NumPy divergence
+engine.  :class:`TestTraceEquality` and :class:`TestSimtTraceEquality`
+check that both producers build the same plan, trace for trace and
+counter for counter.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.assembler import assemble
-from repro.isa.executor import ThreadContext, step_one, trace_threads
+from repro.isa.executor import ThreadContext, step_one, trace_threads, trace_warps
 from repro.isa.program import Program
-from repro.isa.vector import K_BAR, execute
+from repro.isa.vector import K_BAR, execute, execute_simt
 from repro.sim.driver import run
 from repro.sim.spec import RunSpec
 from repro.workloads.registry import workload_names
@@ -181,6 +185,25 @@ def assert_plans_equal(a, b) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+_SIMT_COUNTERS = (
+    "instr_count", "branches", "taken_branches", "local_reads",
+    "local_writes", "warp_instructions", "active_lane_slots",
+    "divergence_idle_slots", "divergent_branches", "uniform_branches",
+    "shared_accesses", "conflict_extra",
+)
+
+
+def assert_simt_plans_equal(a, b) -> None:
+    assert len(a.warp_traces) == len(b.warp_traces)
+    for w, (x, y) in enumerate(zip(a.warp_traces, b.warp_traces)):
+        for name in ("gaps", "kinds", "payloads", "tmasks"):
+            assert getattr(x, name) == getattr(y, name), f"warp {w} {name}"
+    assert a.local.shape == b.local.shape
+    assert a.local.tobytes() == b.local.tobytes()
+    for name in _SIMT_COUNTERS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class _Launched(Exception):
     """Carries the processor out of the driver before simulated time."""
 
@@ -223,6 +246,23 @@ class TestTraceEquality:
         vector = execute(program, np.zeros(1), thread_args, 32, 8)
         assert_plans_equal(scalar, vector)
         assert int(scalar.local_writes.sum()) > 0
+
+
+class TestSimtTraceEquality:
+    @pytest.mark.parametrize("wl", workload_names())
+    @pytest.mark.parametrize("arch", ["gpgpu", "vws", "vws-row"])
+    def test_workload_plans_agree(self, arch, wl):
+        """Same plan from both SIMT producers, with the SM's bank count
+        and with 3 banks (which makes the bank-conflict count nonzero)."""
+        sm = launch_state(arch, wl)
+        shape = (sm._thread_args, sm.config.core.n_registers,
+                 sm.state_words, sm.width, sm._initial_state)
+        for n_banks in (sm.shared_mem.n_banks, 3):
+            scalar = trace_warps(sm.program, sm.global_mem.read_word,
+                                 *shape, n_banks=n_banks)
+            vector = execute_simt(sm.program, sm.global_mem.data, *shape,
+                                  n_banks=n_banks)
+            assert_simt_plans_equal(scalar, vector)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.isa import (
     step_one,
 )
 from repro.isa.cfg import immediate_postdominators, leader_pcs
+from repro.isa.executor import trace_threads
 
 
 def run_to_halt(source: str, args: dict[int, float] | None = None,
@@ -269,8 +270,9 @@ class TestInterpreter:
             branch_taken(ThreadContext(0), prog.instrs[0])
 
     def test_instruction_count(self):
-        ctx, _ = run_to_halt("li r1, 1\nnop\nhalt")
-        assert ctx.instr_count == 3
+        plan = trace_threads(Program.from_source("li r1, 1\nnop\nhalt"),
+                             lambda addr: 0.0, [{}], 32, 1)
+        assert plan.traces[0].total_issues == 3
 
     @given(st.integers(min_value=-1000, max_value=1000),
            st.integers(min_value=-1000, max_value=1000))

@@ -109,16 +109,6 @@ class TestBankedSharedMemory:
         banks = [p % 32 for p in phys]
         assert len(set(banks)) == len(banks)
 
-    def test_data_roundtrip(self):
-        sm = BankedSharedMemory(64, 4)
-        sm.write(10, 2.5)
-        assert sm.read(10) == 2.5
-
-    def test_bounds(self):
-        sm = BankedSharedMemory(64, 4)
-        with pytest.raises(IndexError):
-            sm.read(64)
-
 
 def _prefetcher(degree=2, schedule=None, line_bytes=64, cache_bytes=512):
     eng = Engine()

@@ -2,25 +2,26 @@
 
 Hypothesis generates kernels with random nested data-dependent branches
 (optionally inside divergent bounded loops) and random per-lane inputs,
-then drives them through two independent implementations of the SIMT
-divergence discipline:
+then drives them through the SIMT divergence discipline:
 
 * the **vector** engine (:class:`repro.isa.vector._SimtMachine` via
   :func:`repro.isa.vector.execute_simt`), which executes warps at basic-
   block granularity over dense stack matrices and logs one entry per
   warp-block execution;
-* a **scalar reference walker** defined here, a faithful transcription of
-  ``GpgpuSM._exec_warp``'s stack discipline: one instruction at a time,
-  per-lane interpretation via the reference executor, the exact push
-  order on a divergent branch, and ``_pop_reconverged`` after *every*
-  instruction.
+* an **oracle walker** defined here, which writes the PDOM rules down
+  once more, independently of the simulator: one instruction at a time,
+  per-lane interpretation via the reference executor, the else-path
+  pushed before the taken path on a divergent branch, and reconverged
+  frames popped after *every* instruction.
 
 The vector log is expanded to the per-issue stream (within a block the
 mask is constant and only the top frame's PC advances — the property
-under test) and must equal the reference stream *at every step*: same
-PC, same active lane mask, and the same full reconvergence stack
-(reconvergence PC, next PC, mask per frame).  This is the unit-level
-guarantee beneath the end-to-end byte-identity suite in
+under test) and must equal the oracle stream *at every step*: same PC,
+same active lane mask, and the same full reconvergence stack
+(reconvergence PC, next PC, mask per frame).  The ``reference``
+backend's own producer, :func:`repro.isa.executor.trace_warps`, must
+build the same plan as the vector engine on the same kernels.  This is
+the unit-level guarantee beneath the end-to-end byte-identity suite in
 ``tests/test_backends.py``.
 """
 
@@ -29,22 +30,25 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.executor import ThreadContext, branch_taken, exec_non_memory
+from repro.isa.executor import (ThreadContext, branch_taken, exec_non_memory,
+                                trace_warps)
 from repro.isa.instructions import Op
 from repro.isa.program import Program
 from repro.isa.vector import execute_simt
+from tests.test_interpreter_diff import assert_simt_plans_equal
 
 _BEQ = int(Op.BEQ)
 _BNEZ = int(Op.BNEZ)
 _J = int(Op.J)
 _HALT = int(Op.HALT)
+_STL = int(Op.STL)
 
 N_REGS = 16
 WIDTH = 4
 
 
 # ----------------------------------------------------------------------
-# scalar reference walker (GpgpuSM._exec_warp's stack discipline)
+# oracle walker (the PDOM stack discipline, written out independently)
 # ----------------------------------------------------------------------
 def reference_stream(program, lane_args: list[dict[int, float]]):
     """Per-issue ``(pc, mask, stack)`` tuples for one warp, where
@@ -89,8 +93,8 @@ def reference_stream(program, lane_args: list[dict[int, float]]):
             assert mask == full, "kernels must exit uniformly"
             assert len(stack) == 1, "halt with a deep stack"
             return stream
-        elif op == _J:
-            top[1] = ins.target
+        elif op == _J or op == _STL:
+            top[1] = ins.target if op == _J else pc + 1
         else:
             for l in active:
                 ctx = lanes[l]
@@ -185,8 +189,11 @@ class TestPdomEngineMatchesReference:
         source, args = case
         program = Program.from_source(source)
         log: list = []
-        execute_simt(program, np.zeros(1), args, N_REGS,
-                     state_words=4, width=WIDTH, issue_log=log)
+        plan = execute_simt(program, np.zeros(1), args, N_REGS,
+                            state_words=4, width=WIDTH, issue_log=log)
+        assert_simt_plans_equal(
+            trace_warps(program, lambda addr: 0.0, args, N_REGS,
+                        state_words=4, width=WIDTH), plan)
         got = expand_issue_log(log, warp=0)
         want = reference_stream(program, args)
         assert len(got) == len(want), (

@@ -44,11 +44,8 @@ class _SsmcCore(MimdCore):
         super().__init__(*args, **kwargs)
         self.prefetcher = prefetcher
 
-    def _global_access(self, slot: int, addr: int) -> None:
-        def on_ready(ready_ps: int, _slot=slot) -> None:
-            self._global_done(_slot, ready_ps)
-
-        self.prefetcher.demand_access(addr, on_ready)
+    def _port(self):
+        return self.prefetcher.demand_access, ()
 
 
 class SsmcProcessor:

@@ -28,10 +28,11 @@ Timing model
   queue) is always touched in global time order with bounded skew.
 
 Subclasses provide the global-access port (prefetch buffer for Millipede,
-L1D+prefetcher for SSMC) by overriding :meth:`_global_access`.
+L1D+prefetcher for SSMC) by overriding :meth:`_port`; a global load is one
+engine event that calls the port directly.
 
 State the replay never touches per issue (local-memory contents and
-counters, branch counters) is restored from the plan in :meth:`_finish`,
+counters, the branch count) is restored from the plan in :meth:`_finish`,
 before the completion callback runs, so end-of-run consumers
 (``collect``, ``thread_states``, validation, energy) see the values the
 threads computed.
@@ -39,13 +40,13 @@ threads computed.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.config import CoreConfig
 from repro.engine.clock import Clock
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.isa.executor import ThreadContext
 from repro.isa.program import Program
 from repro.isa.vector import K_BAR, K_LDG, VectorPlan
 from repro.mem.local_memory import LocalMemory
@@ -78,12 +79,16 @@ class MimdCore:
         self.on_done = on_done
 
         n = cfg.n_threads
-        self.threads = [ThreadContext(core_id * n + s, cfg.n_registers) for s in range(n)]
         #: per-thread earliest next issue time (ps)
         self.ready_at = [0] * n
-        #: per-thread blocked-on-memory / blocked-on-barrier flags
+        #: per-thread blocked-on-memory / blocked-on-barrier / halted flags
         self.blocked = [False] * n
         self.at_barrier = [False] * n
+        self.halted = [False] * n
+        self._n_halted = 0
+        #: round-robin scan order from each start slot; ``_orders[n]`` is
+        #: ``_orders[0]``, so the slot after ``s`` is ``s + 1`` unwrapped
+        self._orders = [tuple((k + i) % n for i in range(n)) for k in range(n + 1)]
 
         #: thread-private live-state partition of the corelet's scratchpad
         self.state_words = local_mem.n_words // n
@@ -98,6 +103,7 @@ class MimdCore:
         # accounting
         self.idle_cycles = 0.0
         self.issued = 0
+        self.branches = 0
         self.finish_ps: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -114,6 +120,8 @@ class MimdCore:
         self._addrs = [plan.traces[base + s].addrs for s in range(n)]
         self._gap_rem = [(g[0] if g else 0) for g in self._gaps]
         self._ev_idx = [0] * n
+        self._port_fn, self._port_head = self._port()
+        self._on_ready = [partial(self._global_done, s) for s in range(n)]
 
     def start(self) -> None:
         if self._plan is None:
@@ -143,15 +151,22 @@ class MimdCore:
         gap = self.cfg.issue_gap_cycles * period
         chunk_end = t + _CHUNK_CYCLES * period if self.pending else None
 
-        threads = self.threads
         ready_at = self.ready_at
         blocked = self.blocked
-        n = len(threads)
+        halted = self.halted
+        orders = self._orders
+        n = len(ready_at)
         gap_rem = self._gap_rem
         ev_idx = self._ev_idx
         all_gaps = self._gaps
         all_kinds = self._kinds
         all_addrs = self._addrs
+        on_ready = self._on_ready
+        port = self._port_fn
+        head = self._port_head
+        schedule_at = self.engine.schedule_at
+        issued = self.issued
+        rr = self._rr
         # the barrel fast path below leaps whole rotations; it is only
         # valid when a thread's re-ready gap equals one full rotation
         dense = gap == n * period
@@ -168,56 +183,56 @@ class MimdCore:
             # terms and no engine interaction, so every observable -
             # including the float ``idle_cycles`` sum - is untouched.
             if dense and chunk_end is None:
-                start = self._rr
+                order = orders[rr]
                 k_min = 0
-                for i in range(n):
-                    s = (start + i) % n
+                slot_t = t  # t + i*period for rotation position i
+                for s in order:
                     g = gap_rem[s]
-                    if (g == 0 or threads[s].halted or blocked[s]
-                            or ready_at[s] > t + i * period):
+                    if g == 0 or halted[s] or blocked[s] or ready_at[s] > slot_t:
                         k_min = 0
                         break
                     if k_min == 0 or g < k_min:
                         k_min = g
+                    slot_t += period
                 if k_min:
                     leap = k_min * n * period
-                    for i in range(n):
-                        s = (start + i) % n
+                    slot_t = t + leap
+                    for s in order:
                         gap_rem[s] -= k_min
-                        ready_at[s] = t + leap + i * period
-                    self.issued += k_min * n
+                        ready_at[s] = slot_t
+                        slot_t += period
+                    issued += k_min * n
                     t += leap
                     # at least one thread's next issue is now its event;
                     # fall through to the per-issue loop for that
             # -- pick a ready thread, round-robin ----------------------
-            slot = -1
-            start = self._rr
-            for i in range(n):
-                s = (start + i) % n
-                th = threads[s]
-                if th.halted or blocked[s] or ready_at[s] > t:
-                    continue
-                slot = s
-                break
-            if slot < 0:
-                if all(th.halted for th in threads):
+            for slot in orders[rr]:
+                if ready_at[slot] <= t and not blocked[slot] and not halted[slot]:
+                    break
+            else:
+                # publish the loop's locals before either exit below
+                self.issued = issued
+                self._rr = rr % n
+                if self._n_halted == n:
                     self._finish(t)
                     return
                 # threads exist but none issuable: either waiting on memory
                 # (resume via callback) or in an issue-gap bubble
-                waiting = [ready_at[s] for s in range(n)
-                           if not threads[s].halted and not blocked[s]]
-                if not waiting:
+                nt = None
+                for s in range(n):
+                    if not halted[s] and not blocked[s]:
+                        r = ready_at[s]
+                        if nt is None or r < nt:
+                            nt = r
+                if nt is None:
                     self.t = t
                     return  # all blocked on memory/barrier: sleep
-                nt = min(waiting)
                 self.idle_cycles += (nt - t) / period
                 t = nt
                 continue
 
-            self._rr = (slot + 1) % n
-            th = threads[slot]
-            self.issued += 1
+            rr = slot + 1  # orders[n] is orders[0]
+            issued += 1
             ready_at[slot] = t + gap
 
             g = gap_rem[slot]
@@ -234,42 +249,55 @@ class MimdCore:
                 if kind == K_LDG:
                     blocked[slot] = True
                     self.pending += 1
-                    self.engine.schedule_at(t, self._global_access, slot,
-                                            all_addrs[slot][i])
+                    schedule_at(t, port, *head, all_addrs[slot][i], on_ready[slot])
                     if chunk_end is None:
                         chunk_end = t + _CHUNK_CYCLES * period
                 elif kind == K_BAR:
                     blocked[slot] = True
                     self.at_barrier[slot] = True
-                    self.engine.schedule_at(t, self._barrier_hook, slot)
+                    schedule_at(t, self._barrier_hook, slot)
                 else:  # K_HALT
-                    th.halted = True
+                    halted[slot] = True
+                    self._n_halted += 1
 
             t += period
             if chunk_end is not None and t >= chunk_end:
                 if self.pending:
                     self.t = t
-                    self._schedule_run(t)
+                    self.issued = issued
+                    self._rr = rr % n
+                    # re-enter at t (>= engine.now); nothing in this call
+                    # could have scheduled a run already
+                    self._run_scheduled = True
+                    schedule_at(t, self._run)
                     return
                 chunk_end = None
 
     # ------------------------------------------------------------------
     # memory paths
     # ------------------------------------------------------------------
-    def _global_access(self, slot: int, addr: int) -> None:
-        """Architecture hook, an engine event at the load's issue time:
-        demand word ``addr`` from the input-data port; must eventually
-        call :meth:`_global_done`."""
+    def _port(self) -> tuple[Callable[..., None], tuple]:
+        """Architecture hook: the input-data port as ``(method, head)``.
+        A global load of word ``addr`` by ``slot`` is the engine event
+        ``method(*head, addr, on_ready)`` at the load's issue time, and
+        the port must eventually call ``on_ready(ready_ps, ...)``, which
+        is :meth:`_global_done` bound to ``slot``."""
         raise NotImplementedError
 
-    def _global_done(self, slot: int, ready_ps: int) -> None:
+    def _global_done(self, slot: int, ready_ps: int, _code: object = None) -> None:
         """The load's data is available at ``ready_ps``: wake the thread
-        (the functional phase already committed the loaded word)."""
+        (the functional phase already committed the loaded word).  Ports
+        that report a result code pass it as ``_code``; it is unused."""
         self.blocked[slot] = False
         self.pending -= 1
         # one extra cycle to move the word from the buffer into the register
-        self.ready_at[slot] = ready_ps + self.clock.period_ps
-        self._schedule_run(max(self.t, self.ready_at[slot]))
+        ready = ready_ps + self.clock.period_ps
+        self.ready_at[slot] = ready
+        if not self._run_scheduled and not self.done:
+            self._run_scheduled = True
+            engine = self.engine
+            at = self.t if self.t > ready else ready
+            engine.schedule_at(at if at > engine.now else engine.now, self._run)
 
     # ------------------------------------------------------------------
     # barriers (software-barrier ablation)
@@ -296,9 +324,7 @@ class MimdCore:
         plan = self._plan
         n = self.cfg.n_threads
         base = self.core_id * n
-        for s, th in enumerate(self.threads):
-            th.branches = int(plan.branches[base + s])
-            th.taken_branches = int(plan.taken_branches[base + s])
+        self.branches = int(plan.branches[base : base + n].sum())
         lm = self.local_mem
         sw = self.state_words
         for s in range(n):
@@ -306,6 +332,7 @@ class MimdCore:
         lm.reads = int(plan.local_reads[base : base + n].sum())
         lm.writes = int(plan.local_writes[base : base + n].sum())
         self._plan = self._gaps = self._kinds = self._addrs = None
+        self._on_ready = self._port_fn = None
         self.done = True
         self.finish_ps = t
         self.t = t
@@ -318,4 +345,4 @@ class MimdCore:
 
     @property
     def dynamic_branches(self) -> int:
-        return sum(th.branches for th in self.threads)
+        return self.branches

@@ -46,11 +46,8 @@ class _MillipedeCorelet(MimdCore):
         self.prefetch_buffer = prefetch_buffer
         self.barrier = barrier
 
-    def _global_access(self, slot: int, addr: int) -> None:
-        def on_ready(ready_ps: int, _code: str, _slot=slot) -> None:
-            self._global_done(_slot, ready_ps)
-
-        self.prefetch_buffer.demand_access(self.core_id, addr, on_ready)
+    def _port(self):
+        return self.prefetch_buffer.demand_access, (self.core_id,)
 
     def _barrier_hook(self, slot: int) -> None:
         if self.barrier is None:

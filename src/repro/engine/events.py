@@ -8,8 +8,12 @@ Design notes
 * Events at equal timestamps are delivered in scheduling order (a
   monotonically increasing sequence number breaks ties), which keeps runs
   deterministic.
-* ``cancel`` is O(1): cancelled events stay in the heap but are skipped on
-  pop (standard lazy deletion).
+* The heap holds plain ``(time, seq, fn, args)`` tuples, so every heap
+  comparison runs in C; ``seq`` is unique, so ``fn`` is never compared.
+* ``cancel`` records the entry's ``seq`` in a set; cancelled entries stay
+  in the heap and are dropped when they reach its top.
+* Observers see an :class:`Event` view of each delivered entry, built
+  only while an observer is attached.
 * Both execution backends run on this one binary heap.  A run keeps at
   most a few hundred events pending, where a heap's ``O(log n)`` push
   and pop are cheap.
@@ -20,32 +24,23 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Optional
 
+#: a queued entry, and the handle ``schedule`` returns: (time, seq, fn, args)
+Entry = tuple
+
 
 class Event:
-    """A scheduled callback.  Returned by :meth:`Engine.schedule` so the
-    caller can cancel it later."""
+    """Read-only view of a delivered entry, handed to engine observers."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ("time", "seq", "fn", "args")
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
         self.time = time
         self.seq = seq
         self.fn = fn
         self.args = args
-        self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped."""
-        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time}ps fn={getattr(self.fn, '__qualname__', self.fn)}{state}>"
+        return f"<Event t={self.time}ps fn={getattr(self.fn, '__qualname__', self.fn)}>"
 
 
 class Engine:
@@ -65,9 +60,10 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[Event] = []
+        self._heap: list[Entry] = []
         self._seq: int = 0
-        self._live: int = 0  # number of non-cancelled events in the heap
+        #: seqs of cancelled entries still in the heap
+        self._cancelled: set[int] = set()
         #: optional delivery observer: ``on_deliver(ev)`` fires before each
         #: callback and ``on_return(ev)`` (if defined) after it returns.
         #: Used by :mod:`repro.sanitize` for monotonicity checking / the
@@ -79,30 +75,31 @@ class Engine:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Entry:
         """Schedule ``fn(*args)`` at absolute picosecond ``time``.
 
         ``time`` must not be in the engine's past; shared-state causality
-        relies on it.
+        relies on it.  Returns a handle for :meth:`cancel`.
         """
         if time < self.now:
             raise ValueError(f"cannot schedule at t={time}ps; engine is at t={self.now}ps")
-        ev = Event(int(time), self._seq, fn, args)
+        entry = (int(time), self._seq, fn, args)
         self._seq += 1
-        heapq.heappush(self._heap, ev)
-        self._live += 1
-        return ev
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Entry:
         """Schedule ``fn(*args)`` ``delay`` picoseconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         return self.schedule_at(self.now + int(delay), fn, *args)
 
-    def cancel(self, ev: Event) -> None:
-        if not ev.cancelled:
-            ev.cancelled = True
-            self._live -= 1
+    def cancel(self, entry: Entry) -> None:
+        """Drop a queued entry.  Cancelling one that was already delivered
+        or cancelled does nothing.  Costs a scan of the heap."""
+        seq = entry[1]
+        if seq not in self._cancelled and entry in self._heap:
+            self._cancelled.add(seq)
 
     # ------------------------------------------------------------------
     # execution
@@ -110,39 +107,42 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return self._live
+        return len(self._heap) - len(self._cancelled)
+
+    def _pop_cancelled(self) -> None:
+        """Drop cancelled entries from the top of the heap."""
+        heap = self._heap
+        cancelled = self._cancelled
+        while heap and heap[0][1] in cancelled:
+            cancelled.discard(heapq.heappop(heap)[1])
 
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next live event, or ``None`` if idle."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        return heap[0].time if heap else None
+        self._pop_cancelled()
+        return self._heap[0][0] if self._heap else None
 
-    def _deliver(self, ev: Event) -> None:
-        """Fire one event's callback, bracketed by the observer hooks."""
+    def _deliver(self, entry: Entry) -> None:
+        """Fire one entry's callback, bracketed by the observer hooks."""
+        time, seq, fn, args = entry
+        self.now = time
         obs = self.observer
         if obs is None:
-            ev.fn(*ev.args)
+            fn(*args)
             return
+        ev = Event(time, seq, fn, args)
         obs.on_deliver(ev)
-        ev.fn(*ev.args)
+        fn(*args)
         hook = getattr(obs, "on_return", None)
         if hook is not None:
             hook(ev)
 
     def step(self) -> bool:
         """Deliver the next live event.  Returns ``False`` when idle."""
-        heap = self._heap
-        while heap:
-            ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
-            self._live -= 1
-            self.now = ev.time
-            self._deliver(ev)
-            return True
-        return False
+        self._pop_cancelled()
+        if not self._heap:
+            return False
+        self._deliver(heapq.heappop(self._heap))
+        return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the heap drains, ``until`` ps is reached, or
@@ -157,27 +157,25 @@ class Engine:
         """
         delivered = 0
         heap = self._heap
+        cancelled = self._cancelled
+        pop = heapq.heappop
+        if until is None and max_events is None:
+            # fast loop: no window, no observer, no cancelled entries.  A
+            # callback that cancels or attaches an observer hands the rest
+            # of the run to the general loop below.
+            while heap and not cancelled and self.observer is None:
+                self.now, _, fn, args = pop(heap)
+                fn(*args)
+                delivered += 1
         while heap:
-            ev = heap[0]
-            if ev.cancelled:
-                heapq.heappop(heap)
+            if heap[0][1] in cancelled:
+                self._pop_cancelled()
                 continue
-            if until is not None and ev.time > until:
+            if until is not None and heap[0][0] > until:
                 break
             if max_events is not None and delivered >= max_events:
                 return delivered
-            heapq.heappop(heap)
-            self._live -= 1
-            self.now = ev.time
-            obs = self.observer
-            if obs is None:
-                ev.fn(*ev.args)
-            else:
-                obs.on_deliver(ev)
-                ev.fn(*ev.args)
-                hook = getattr(obs, "on_return", None)
-                if hook is not None:
-                    hook(ev)
+            self._deliver(pop(heap))
             delivered += 1
         if until is not None and self.now < until:
             self.now = until

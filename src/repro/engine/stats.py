@@ -144,17 +144,23 @@ class ScopedStats:
     """Prefix-applying proxy so a component can write ``inc("hits")`` and
     land on ``"l1d.hits"``."""
 
-    __slots__ = ("_stats", "_prefix")
+    __slots__ = ("_stats", "_prefix", "_counters", "_keys")
 
     def __init__(self, stats: Stats, prefix: str):
         self._stats = stats
         self._prefix = prefix
+        self._counters = stats._counters
+        #: name -> prefixed key, built once per name
+        self._keys: dict[str, str] = {}
 
     # ScopedStats is the sanctioned prefixing mechanism: the prefix is
     # fixed at construction and callers pass literal names, so the
     # composed keys are deterministic even though they are not literals
     def inc(self, name: str, amount: float = 1) -> None:
-        self._stats.inc(f"{self._prefix}.{name}", amount)  # repro-lint: disable=STAT002
+        key = self._keys.get(name)
+        if key is None:
+            key = self._keys[name] = f"{self._prefix}.{name}"
+        self._counters[key] += amount
 
     def set(self, name: str, value: float) -> None:
         self._stats.set(f"{self._prefix}.{name}", value)  # repro-lint: disable=STAT002

@@ -15,10 +15,11 @@ from typing import Optional
 class SetAssocCache:
     """Block-granular set-associative cache.
 
-    Addresses are *word* addresses; the cache works on block-aligned tags.
+    Lookups and fills take *block tags* (block indices); :meth:`block_of`
+    maps a word address to its tag.
 
     >>> c = SetAssocCache(total_bytes=512, line_bytes=128, assoc=2)
-    >>> c.access(0)
+    >>> c.access(c.block_of(0))
     False
     >>> c.insert(0)
     >>> c.access(0)
@@ -48,14 +49,10 @@ class SetAssocCache:
     def block_base(self, block: int) -> int:
         return block * self.line_words
 
-    def _set_of(self, block: int) -> OrderedDict:
-        return self._sets[block % self.n_sets]
-
     # ------------------------------------------------------------------
-    def access(self, word_addr: int) -> bool:
-        """Demand lookup; updates LRU and hit/miss counters."""
-        block = self.block_of(word_addr)
-        s = self._set_of(block)
+    def access(self, block: int) -> bool:
+        """Demand lookup of ``block``; updates LRU and hit/miss counters."""
+        s = self._sets[block % self.n_sets]
         if block in s:
             s.move_to_end(block)
             self.hits += 1
@@ -63,16 +60,13 @@ class SetAssocCache:
         self.misses += 1
         return False
 
-    def contains(self, word_addr: int) -> bool:
-        """Probe without perturbing LRU or counters."""
-        block = self.block_of(word_addr)
-        return block in self._set_of(block)
+    def contains(self, block: int) -> bool:
+        """Probe ``block`` without perturbing LRU or counters."""
+        return block in self._sets[block % self.n_sets]
 
-    def insert(self, word_addr: int) -> Optional[int]:
-        """Fill the block containing ``word_addr``; returns the evicted
-        block tag, if any."""
-        block = self.block_of(word_addr)
-        s = self._set_of(block)
+    def insert(self, block: int) -> Optional[int]:
+        """Fill ``block``; returns the evicted block tag, if any."""
+        s = self._sets[block % self.n_sets]
         if block in s:
             s.move_to_end(block)
             return None

@@ -33,9 +33,6 @@ class BlockStream:
         self.base = base
         self.end = end
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
-
 
 def core_block_schedule(
     *,
@@ -138,8 +135,8 @@ class SequentialPrefetcher:
     def demand_access(self, word_addr: int, on_ready: Callable[[int], None]) -> None:
         """Demand load at the current engine time.  ``on_ready(ready_ps)``
         fires when the block is (or already was) present."""
-        block = self.cache.block_of(word_addr)
-        if self.cache.access(word_addr):
+        block = word_addr // self.cache.line_words
+        if self.cache.access(block):
             self.stats.inc("demand_hits")
             self._prefetch_ahead(block)
             on_ready(self.engine.now)
@@ -175,26 +172,33 @@ class SequentialPrefetcher:
         return len(blocks)
 
     # ------------------------------------------------------------------
-    def _next_blocks(self, block: int) -> list[int]:
-        """Prefetch candidates after a demand to ``block``."""
-        if self.schedule is None:
-            return list(range(block + 1, block + 1 + self.degree))
-        pos = self._sched_pos.get(block)
-        if pos is None:
-            return []
-        self._ptr = max(self._ptr, pos)
-        return self.schedule[self._ptr + 1 : self._ptr + 1 + self.degree]
-
     def _prefetch_ahead(self, block: int) -> None:
-        for b in self._next_blocks(block):
-            if len(self._inflight) >= self.max_inflight:
+        """Issue fills for the prefetch candidates after a demand to
+        ``block``: the next ``degree`` blocks, or the next ``degree``
+        entries of the schedule."""
+        schedule = self.schedule
+        if schedule is None:
+            candidates = range(block + 1, block + 1 + self.degree)
+        else:
+            pos = self._sched_pos.get(block)
+            if pos is None:
+                return
+            if pos > self._ptr:
+                self._ptr = pos
+            ptr = self._ptr
+            candidates = schedule[ptr + 1 : ptr + 1 + self.degree]
+        inflight = self._inflight
+        cache = self.cache
+        line_words = cache.line_words
+        base, end = self.stream.base, self.stream.end
+        for b in candidates:
+            if len(inflight) >= self.max_inflight:
                 break
-            base = self.cache.block_base(b)
-            if not self.stream.contains(base):
+            if not base <= b * line_words < end:
                 break
-            if b in self._inflight or self.cache.contains(base):
+            if b in inflight or cache.contains(b):
                 continue
-            self._inflight[b] = []
+            inflight[b] = []
             self.stats.inc("prefetches")
             self._issue(b, demand=False)
 
@@ -207,7 +211,7 @@ class SequentialPrefetcher:
 
     def _fill(self, req: DramRequest) -> None:
         block = req.tag
-        self.cache.insert(self.cache.block_base(block))
+        self.cache.insert(block)
         waiters = self._inflight.pop(block, [])
         now = self.engine.now
         for cb in waiters:

@@ -134,10 +134,13 @@ class FaultInjector:
     def corrupt_event_time(self, engine) -> None:
         """Rewind a queued event's timestamp into the past (heap
         corruption): it will be delivered after later-timestamped events."""
-        for ev in reversed(engine._heap):
-            if not ev.cancelled and ev.time > 0:
-                ev.time = -1
-                self._mark("corrupt_event_time", repr(ev))
+        heap = engine._heap
+        for i in reversed(range(len(heap))):
+            time, seq, fn, args = heap[i]
+            if seq not in engine._cancelled and time > 0:
+                heap[i] = (-1, seq, fn, args)
+                self._mark("corrupt_event_time",
+                           f"t={time}ps {getattr(fn, '__qualname__', fn)}")
                 return
         raise RuntimeError("no future event to corrupt")
 

@@ -122,6 +122,80 @@ class TestEngine:
         eng.cancel(ev)
         assert eng.peek_time() == 20
 
+    def test_equal_time_uncomparable_callbacks_keep_scheduling_order(self):
+        # the heap's tie-break is the sequence number, so callbacks (and
+        # arguments) that do not support ``<`` are never compared
+        class Box:
+            def __init__(self, tag):
+                self.tag = tag
+
+            def __call__(self, out):
+                out.append(self.tag)
+
+        eng = Engine()
+        out = []
+        for tag in ("a", "b", "c"):
+            eng.schedule(50, Box(tag), out)
+        eng.schedule(50, lambda box: out.append(box.tag), Box("d"))
+        assert eng.run() == 4
+        assert out == ["a", "b", "c", "d"]
+
+    def test_observer_sees_event_view(self):
+        class Recorder:
+            def __init__(self):
+                self.seen = []
+
+            def on_deliver(self, ev):
+                self.seen.append(("deliver", ev.time, ev.seq, ev.fn, ev.args))
+
+            def on_return(self, ev):
+                self.seen.append(("return", ev.time, ev.seq))
+
+        eng = Engine()
+        rec = Recorder()
+        attach_observer(eng, rec)
+        out = []
+        eng.schedule(30, out.append, "x")
+        eng.schedule(10, out.append, "y")
+        eng.run()
+        assert out == ["y", "x"]
+        assert rec.seen == [
+            ("deliver", 10, 1, out.append, ("y",)), ("return", 10, 1),
+            ("deliver", 30, 0, out.append, ("x",)), ("return", 30, 0),
+        ]
+
+    def test_cancel_one_of_two_equal_time_entries(self):
+        eng = Engine()
+        out = []
+        first = eng.schedule(100, out.append, "first")
+        eng.schedule(100, out.append, "second")
+        eng.cancel(first)
+        assert eng.pending == 1
+        assert eng.peek_time() == 100
+        assert eng.run() == 1
+        assert out == ["second"]
+        assert eng.pending == 0
+
+    def test_cancel_delivered_or_twice_is_a_noop(self):
+        eng = Engine()
+        ev = eng.schedule(10, lambda: None)
+        eng.run()
+        eng.cancel(ev)
+        assert eng.pending == 0
+        ev = eng.schedule(10, lambda: None)
+        eng.cancel(ev)
+        eng.cancel(ev)
+        assert eng.pending == 0 and eng.run() == 0
+
+    def test_cancel_from_a_callback(self):
+        eng = Engine()
+        out = []
+        later = eng.schedule(20, out.append, "cancelled")
+        eng.schedule(10, eng.cancel, later)
+        eng.schedule(30, out.append, "kept")
+        assert eng.run() == 2
+        assert out == ["kept"]
+
     def test_step(self):
         eng = Engine()
         out = []

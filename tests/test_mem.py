@@ -47,21 +47,26 @@ class TestSetAssocCache:
     def test_lru_eviction(self):
         c = SetAssocCache(256, 128, 2)  # 1 set, 2 ways
         c.insert(0)
-        c.insert(32)       # second line (block 1)
+        c.insert(1)        # second line
         c.access(0)        # touch block 0 -> block 1 becomes LRU
-        victim = c.insert(64)
+        victim = c.insert(2)
         assert victim == 1  # block 1 evicted
         assert c.access(0)
-        assert not c.access(32)
+        assert not c.access(1)
+
+    def test_block_of_maps_words_to_tags(self):
+        c = SetAssocCache(256, 128, 2)  # 32-word lines
+        assert [c.block_of(w) for w in (0, 31, 32, 64)] == [0, 0, 1, 2]
+        assert c.block_base(2) == 64
 
     def test_sets_isolate(self):
         c = SetAssocCache(512, 128, 1)  # 4 sets, direct-mapped
         c.insert(0)       # set 0
-        c.insert(32)      # set 1
-        assert c.contains(0) and c.contains(32)
-        c.insert(128)     # block 4 -> set 0, evicts block 0
+        c.insert(1)       # set 1
+        assert c.contains(0) and c.contains(1)
+        c.insert(4)       # block 4 -> set 0, evicts block 0
         assert not c.contains(0)
-        assert c.contains(32)
+        assert c.contains(1)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -78,7 +83,7 @@ class TestSetAssocCache:
     def test_capacity_never_exceeded(self, blocks):
         c = SetAssocCache(512, 64, 2)
         for b in blocks:
-            c.insert(b * 16)
+            c.insert(b)
         total = sum(len(s) for s in c._sets)
         assert total <= c.n_sets * c.assoc
 
@@ -166,8 +171,8 @@ class TestSequentialPrefetcher:
         eng.schedule(0, pf.demand_access, 0, lambda t: None)
         eng.run()
         # blocks 8 and 16 (the next schedule entries) were prefetched
-        assert pf.cache.contains(8 * 16)
-        assert pf.cache.contains(16 * 16)
+        assert pf.cache.contains(8)
+        assert pf.cache.contains(16)
 
     def test_oracle_pointer_monotone(self):
         schedule = [0, 8, 16]

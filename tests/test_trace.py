@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
 from repro.sim.campaign import run_batch
@@ -89,6 +91,21 @@ class TestTraceContent:
         assert all(len(row) == n_units for row in instr)
         # counts are cumulative per corelet: monotone over time
         assert instr[-1][0] >= instr[0][0]
+
+    @pytest.mark.parametrize("arch, port", [
+        ("millipede", "PrefetchBuffer.demand_access"),
+        ("ssmc", "SequentialPrefetcher.demand_access"),
+        ("multicore", "SequentialPrefetcher.demand_access"),
+    ])
+    def test_event_labels_are_qualnames(self, arch, port):
+        # a global load is one engine event that calls the arch's port
+        # directly; its label must be that method's qualname, not a
+        # partial's or closure's repr with a memory address in it
+        trace = run(RunSpec(arch, "count", n_records=N, options=TRACED)).trace
+        for key in trace.host_profile:
+            assert "functools.partial" not in key and " at 0x" not in key, key
+        assert trace.host_profile[port]["count"] > 0
+        assert not any("_global_access" in key for key in trace.host_profile)
 
     def test_meta_carries_run_identity(self):
         result = run(RunSpec("millipede", "kmeans", n_records=N, options=TRACED))

@@ -163,7 +163,7 @@ class ScopedStats:
         self._counters[key] += amount
 
     def set(self, name: str, value: float) -> None:
-        self._stats.set(f"{self._prefix}.{name}", value)  # repro-lint: disable=STAT002
+        self._stats.set(f"{self._prefix}.{name}", value)
 
     def get(self, name: str, default: float = 0.0) -> float:
         return self._stats.get(f"{self._prefix}.{name}", default)

@@ -1,14 +1,14 @@
 """repro.lint — simulator-aware static analysis.
 
 The static counterpart of the runtime sanitizer (:mod:`repro.sanitize`):
-AST-based rules that check, over every source file on every run, the
-properties the simulator's correctness story depends on — determinism
-(DET*), observer-hook conformance (HOOK*), stats-registry discipline
-(STAT*), pickle/multiprocess safety (PICK*), and observer purity (PURE*).
+AST-based rules for the properties no simulated run can check —
+determinism of campaign/store/report code (DET*), worker global mutation
+(PICK*), filesystem crash-safety (FS*), cross-process discipline (IPC*),
+and NumPy platform determinism (NUM*).
 
-Run it as ``python -m repro.lint [paths]``, ``repro-lint`` (installed
-entry point), or ``python -m repro.tools lint``.  See ``docs/linting.md``
-for the rule catalog and suppression syntax.
+Run it as ``python -m repro.lint [paths]`` or ``repro-lint`` (installed
+entry point).  See ``docs/linting.md`` for the rule catalog and
+suppression syntax.
 """
 
 from repro.lint.core import (

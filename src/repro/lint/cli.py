@@ -7,14 +7,6 @@ Examples::
     python -m repro.lint --json src/repro
     python -m repro.lint --list-rules
     repro-lint --select DET001,DET002 src/repro
-    repro-lint --baseline lint-baseline.json --update-baseline src/repro
-    repro-lint --baseline lint-baseline.json src/repro   # fail only on NEW
-
-The baseline workflow lets a new rule family land warn-only: record the
-current findings once with ``--update-baseline``, then subsequent runs
-with ``--baseline`` demote exactly those (rule, file) counts to
-non-failing and the exit code tracks *new* findings only.  Ratchet the
-recorded counts down to zero in follow-up changes.
 """
 
 from __future__ import annotations
@@ -44,9 +36,10 @@ def _split_ids(value: str) -> list[str]:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Simulator-aware static analysis: determinism, "
-        "observer-hook conformance, stats discipline, pickle safety, and "
-        "observer purity (see docs/linting.md).",
+        description="Simulator-aware static analysis: determinism (DET), "
+        "worker global mutation (PICK), filesystem crash-safety (FS), "
+        "cross-process discipline (IPC), and NumPy determinism (NUM) "
+        "(see docs/linting.md).",
     )
     p.add_argument("paths", nargs="*", type=Path,
                    help="files or directories to lint "
@@ -62,41 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "'# repro-lint: disable=...' comments")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
-    p.add_argument("--baseline", type=Path, metavar="FILE", default=None,
-                   help="JSON baseline of known findings: matching "
-                   "(rule, file) counts are demoted to non-failing, so "
-                   "only NEW findings fail the run")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite --baseline FILE with the current "
-                   "findings and exit 0")
     return p
-
-
-#: on-disk schema of a ``--baseline`` file
-BASELINE_SCHEMA = 1
-
-
-def load_baseline(path: Path) -> "dict[str, int]":
-    """The ``{"RULE:path": count}`` table of a baseline file; a missing
-    file is an empty baseline (everything is new)."""
-    try:
-        data = json.loads(path.read_text())
-    except OSError:
-        return {}
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"unreadable baseline {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(f"unreadable baseline {path}: expected an object "
-                         f"with schema={BASELINE_SCHEMA}")
-    counts = data.get("counts", {})
-    return {str(k): int(v) for k, v in counts.items()}
-
-
-def write_baseline(path: Path, counts: "dict[str, int]") -> None:
-    path.write_text(json.dumps(
-        {"schema": BASELINE_SCHEMA,
-         "counts": dict(sorted(counts.items()))},
-        indent=1) + "\n")
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -113,45 +72,25 @@ def main(argv: "list[str] | None" = None) -> int:
         if not p.exists():
             print(f"error: no such path: {p}", file=sys.stderr)
             return 2
-    if args.update_baseline and args.baseline is None:
-        print("error: --update-baseline requires --baseline FILE",
-              file=sys.stderr)
-        return 2
     try:
         report = lint_paths(paths, select=args.select, ignore=args.ignore)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    baselined = 0
-    if args.baseline is not None:
-        if args.update_baseline:
-            write_baseline(args.baseline, report.baseline_counts())
-            print(f"baseline written: {args.baseline} "
-                  f"({len(report.unsuppressed)} finding(s))")
-            return 0
-        try:
-            baselined = report.apply_baseline(load_baseline(args.baseline))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         shown = (report.findings if args.show_suppressed
-                 else report.failing)
+                 else report.unsuppressed)
         for f in shown:
             print(f.text())
         for err in report.errors:
             print(f"parse error: {err}", file=sys.stderr)
-        n = len(report.failing)
-        n_sup = sum(1 for f in report.findings if f.suppressed)
-        parts = [f"{n_sup} suppressed"]
-        if baselined:
-            parts.append(f"{baselined} baselined")
+        n = len(report.unsuppressed)
+        n_sup = len(report.findings) - n
         summary = ", ".join(f"{r} x{c}" for r, c in report.by_rule().items())
-        print(f"{n} finding(s) ({', '.join(parts)}) across "
+        print(f"{n} finding(s) ({n_sup} suppressed) across "
               f"{report.files} file(s)" + (f": {summary}" if summary else ""))
     return 0 if report.ok else 1
 

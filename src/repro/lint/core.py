@@ -1,34 +1,25 @@
 """Framework for the simulator-aware static analysis pass.
 
 The linter is the static counterpart of the runtime sanitizer
-(:mod:`repro.sanitize`): where the sanitizer checks invariants on the
-configs we happen to execute, the linter checks whole-codebase properties
-on every source file — determinism of sim-reachable code, observer-hook
-conformance against the actual dispatch sites, stats-registry discipline,
-pickle/multiprocess safety, observer purity, filesystem crash-safety,
-cross-process discipline, and NumPy determinism.
+(:mod:`repro.sanitize`): it checks the properties no simulated run can
+see — determinism of the campaign, store and report code that no golden
+digest pins, filesystem crash-safety, cross-process discipline, and
+NumPy platform determinism.
 
 Structure
 ---------
 * :class:`Finding` — one structured diagnostic (rule id, location,
   message, suppressed flag).
 * :class:`Rule` — base class; subclasses register themselves with
-  :func:`register`.  A rule sees each parsed module via
-  :meth:`Rule.check_module` and, for cross-file analyses (hook
-  conformance, mixed counter semantics), the whole set again via
-  :meth:`Rule.finish_project`.
-* **Project layer** — :class:`ModuleFlow` gives every rule an
-  intraprocedural view of one module (import aliases, per-scope binding
-  tables, value provenance as :class:`Origin`, parent links), and
-  :class:`Project` stitches the analyzed modules together (module
-  naming, a symbol table of every top-level function/method, and call
-  resolution across files).  The runner builds one :class:`Project` per
-  run and hands it to every rule as ``rule.project``, which is what lets
-  rules see through aliased imports, value-aliased bindings
-  (``clock = time.time; clock()``), and one level of helper calls.
+  :func:`register` and see each parsed module via
+  :meth:`Rule.check_module`.
+* :class:`ModuleFlow` — an intraprocedural view of one module (import
+  aliases, per-scope binding tables, value provenance as
+  :class:`Origin`, parent links), which lets rules see through aliased
+  imports and value-aliased bindings (``clock = time.time; clock()``).
 * :class:`LintRunner` — walks ``.py`` files, parses them once, runs every
-  selected rule, applies inline suppressions, and returns a
-  :class:`LintReport`.
+  selected rule on each module, applies inline suppressions, and returns
+  a :class:`LintReport`.
 
 Suppressions
 ------------
@@ -37,27 +28,18 @@ those rules on that line; on a line of its own it suppresses them on the
 next line.  ``disable=all`` suppresses every rule.  Suppressed findings
 are retained (so ``--show-suppressed`` can audit them) but do not fail
 the run.
-
-Baselines
----------
-:meth:`LintReport.apply_baseline` demotes findings already present in a
-recorded baseline (keyed per ``rule:path``, count-ratcheted) so a new
-rule family can land warn-only and be driven to zero finding-by-finding;
-``python -m repro.lint --baseline FILE`` / ``--update-baseline`` is the
-CLI surface.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
-import dataclasses
 import io
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\-\s]+)")
 
@@ -72,11 +54,9 @@ class Finding:
     col: int  #: 0-based column offset
     message: str
     suppressed: bool = False  #: matched an inline ``repro-lint: disable``
-    baselined: bool = False  #: present in the ``--baseline`` snapshot
 
     def text(self) -> str:
-        tag = (" (suppressed)" if self.suppressed
-               else " (baselined)" if self.baselined else "")
+        tag = " (suppressed)" if self.suppressed else ""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}{tag}"
 
     def to_dict(self) -> dict:
@@ -87,7 +67,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
 
@@ -155,25 +134,13 @@ def _parse_suppressions(source: str) -> dict[int, set[str]]:
 
 class Rule:
     """Base class: subclasses set ``id``/``name``/``rationale`` and
-    override :meth:`check_module` and/or :meth:`finish_project`.
-
-    One instance lives for one :class:`LintRunner` run, so cross-file
-    rules may accumulate state in ``check_module`` and report from
-    ``finish_project``.
-    """
+    override :meth:`check_module`."""
 
     id: str = ""
     name: str = ""
     rationale: str = ""
-    #: the active :class:`Project`, set by :class:`LintRunner` before the
-    #: first ``check_module`` call; rules use it for cross-module
-    #: resolution (``self.project.called_function(module, call)``)
-    project: "Optional[Project]" = None
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        return iter(())
-
-    def finish_project(self, modules: Sequence[ModuleInfo]) -> Iterator[Finding]:
         return iter(())
 
     def finding(self, module: ModuleInfo, node: ast.AST, message: str) -> Finding:
@@ -208,20 +175,8 @@ def all_rule_classes() -> dict[str, type[Rule]]:
 
 
 # ----------------------------------------------------------------------
-# shared AST helpers used by several rule modules
+# AST helpers behind ModuleFlow
 # ----------------------------------------------------------------------
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def root_name(node: ast.AST) -> Optional[str]:
     """The leftmost Name an expression hangs off (through attribute,
     subscript, and call chains): ``self`` for ``self.shadow.get(x)``."""
@@ -259,22 +214,8 @@ def import_aliases(tree: ast.Module) -> dict[str, str]:
     return aliases
 
 
-def canonical_call(node: ast.Call, aliases: dict[str, str]) -> Optional[str]:
-    """The called target's canonical dotted path, resolved through the
-    module's import aliases (``np.random.rand`` -> ``numpy.random.rand``);
-    None when the chain is not rooted at an imported name."""
-    dotted = dotted_name(node.func)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    base = aliases.get(head)
-    if base is None:
-        return None
-    return f"{base}.{rest}" if rest else base
-
-
 # ----------------------------------------------------------------------
-# project layer: per-module dataflow + cross-module symbol resolution
+# per-module dataflow
 # ----------------------------------------------------------------------
 #: provenance kinds produced by :meth:`ModuleFlow.origin`
 #: ``ref``     an import-rooted dotted path (``clock = time.time``)
@@ -306,18 +247,6 @@ class Binding:
     name: str
     lineno: int
     value: Optional[ast.expr]  #: None for opaque bindings (loop vars, ...)
-
-
-def call_name_tail(node: ast.AST) -> Optional[str]:
-    """The last identifier of a call target (``self._path`` -> ``_path``,
-    ``claim_path`` -> ``claim_path``); None for lambdas/subscripts."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z]+")
@@ -528,76 +457,6 @@ def _tokens(text: str) -> set[str]:
     return {t.lower() for t in _TOKEN_RE.findall(text)}
 
 
-@dataclass(frozen=True)
-class FunctionSymbol:
-    """One function in the project symbol table."""
-
-    canonical: str  #: ``module.qualname`` (methods: ``module.Class.meth``)
-    module: ModuleInfo
-    node: "ast.FunctionDef | ast.AsyncFunctionDef"
-
-    @property
-    def params(self) -> list[str]:
-        a = self.node.args
-        return [p.arg for p in (a.posonlyargs + a.args + a.kwonlyargs)]
-
-
-class Project:
-    """Cross-module view of one lint run: module naming, a symbol table
-    of every function, and call resolution from any module to any other.
-
-    Rules receive the active project as ``self.project`` (set by
-    :class:`LintRunner` before the first ``check_module`` call), which is
-    what powers one-level interprocedural checks: resolve a call with
-    :meth:`resolve_call`, fetch the callee's definition with
-    :meth:`function`, and analyze its body."""
-
-    def __init__(self, modules: Sequence[ModuleInfo]):
-        self.modules = list(modules)
-        self.by_name: dict[str, ModuleInfo] = {}
-        self.functions: dict[str, FunctionSymbol] = {}
-        for module in self.modules:
-            # first module wins a name collision (deterministic: sorted walk)
-            self.by_name.setdefault(module.module_name, module)
-        for module in self.modules:
-            if self.by_name.get(module.module_name) is not module:
-                continue
-            prefix = module.module_name
-            for stmt in module.tree.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._add_function(f"{prefix}.{stmt.name}", module, stmt)
-                elif isinstance(stmt, ast.ClassDef):
-                    for item in stmt.body:
-                        if isinstance(item, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef)):
-                            self._add_function(
-                                f"{prefix}.{stmt.name}.{item.name}",
-                                module, item)
-
-    def _add_function(self, canonical: str, module: ModuleInfo,
-                      node: "ast.FunctionDef | ast.AsyncFunctionDef") -> None:
-        self.functions.setdefault(
-            canonical, FunctionSymbol(canonical, module, node))
-
-    def function(self, canonical: Optional[str]) -> Optional[FunctionSymbol]:
-        """The project-defined function behind a canonical dotted path, or
-        None when it resolves outside the analyzed file set."""
-        if canonical is None:
-            return None
-        return self.functions.get(canonical)
-
-    def resolve_call(self, module: ModuleInfo,
-                     call: ast.Call) -> Optional[str]:
-        """Canonical dotted path of ``call``'s target as seen from
-        ``module`` (through import aliases and value bindings)."""
-        return module.flow.call_target(call)
-
-    def called_function(self, module: ModuleInfo,
-                        call: ast.Call) -> Optional[FunctionSymbol]:
-        """The project-defined callee of ``call``, one resolution hop."""
-        return self.function(self.resolve_call(module, call))
-
-
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
@@ -611,51 +470,18 @@ class LintReport:
 
     @property
     def unsuppressed(self) -> list[Finding]:
+        """Findings that fail the run."""
         return [f for f in self.findings if not f.suppressed]
 
     @property
-    def failing(self) -> list[Finding]:
-        """Findings that fail the run: unsuppressed and not baselined."""
-        return [f for f in self.findings
-                if not f.suppressed and not f.baselined]
-
-    @property
     def ok(self) -> bool:
-        return not self.failing and not self.errors
+        return not self.unsuppressed and not self.errors
 
     def by_rule(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for f in self.failing:
+        for f in self.unsuppressed:
             counts[f.rule] = counts.get(f.rule, 0) + 1
         return dict(sorted(counts.items()))
-
-    def baseline_counts(self) -> dict[str, int]:
-        """Current unsuppressed findings keyed ``"RULE:path"`` — the
-        ratchet unit recorded by ``--update-baseline``."""
-        counts: dict[str, int] = {}
-        for f in self.unsuppressed:
-            key = f"{f.rule}:{f.path}"
-            counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def apply_baseline(self, counts: dict[str, int]) -> int:
-        """Demote up to ``counts["RULE:path"]`` unsuppressed findings per
-        key to ``baselined`` (earliest lines first, so a *new* finding in
-        an already-dirty file still fails).  Returns how many findings
-        were demoted.  The ratchet only ever tightens: keys absent from
-        ``counts`` stay failing, and fixing a finding shrinks the next
-        recorded baseline."""
-        budget = dict(counts)
-        demoted = 0
-        for i, f in enumerate(self.findings):
-            if f.suppressed:
-                continue
-            key = f"{f.rule}:{f.path}"
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-                self.findings[i] = dataclasses.replace(f, baselined=True)
-                demoted += 1
-        return demoted
 
     def to_dict(self) -> dict:
         return {
@@ -664,7 +490,6 @@ class LintReport:
             "errors": list(self.errors),
             "summary": self.by_rule(),
             "suppressed": sum(1 for f in self.findings if f.suppressed),
-            "baselined": sum(1 for f in self.findings if f.baselined),
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -708,21 +533,13 @@ class LintRunner:
                 report.errors.append(f"{display}: {exc}")
         report.files = len(modules)
 
-        project = Project(modules)
-        raw: list[Finding] = []
-        by_path = {m.display_path: m for m in modules}
-        for rule in self.rules:
-            rule.project = project
-            for module in modules:
-                raw.extend(rule.check_module(module))
-            raw.extend(rule.finish_project(modules))
-
-        for f in raw:
-            module = by_path.get(f.path)
-            if module is not None and module.suppressed(f.rule, f.line):
-                f = Finding(f.rule, f.path, f.line, f.col, f.message,
-                            suppressed=True)
-            report.findings.append(f)
+        for module in modules:
+            for rule in self.rules:
+                for f in rule.check_module(module):
+                    if module.suppressed(f.rule, f.line):
+                        f = Finding(f.rule, f.path, f.line, f.col, f.message,
+                                    suppressed=True)
+                    report.findings.append(f)
         report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return report
 

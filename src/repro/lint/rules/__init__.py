@@ -4,10 +4,7 @@ with :data:`repro.lint.core.REGISTRY`."""
 from repro.lint.rules import (  # noqa: F401
     determinism,
     fs_safety,
-    hooks,
     ipc,
     numpy_det,
     pickle_safety,
-    purity,
-    stats,
 )

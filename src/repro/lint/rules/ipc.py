@@ -34,7 +34,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.core import Finding, ModuleInfo, Rule, register
-from repro.lint.rules.pickle_safety import UnpicklableWorkerArgRule
+from repro.lint.rules.pickle_safety import worker_bound_args
 
 #: tokens marking a function/statement as lease-protocol code.  Note
 #: "deadline" is deliberately absent: ``deadline = time.monotonic() + t``
@@ -85,8 +85,7 @@ class StoreIntoWorkerRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            worker_args = UnpicklableWorkerArgRule._worker_bound_args(
-                node, module)
+            worker_args = worker_bound_args(node, module)
             if worker_args is None:
                 continue
             for arg in worker_args:

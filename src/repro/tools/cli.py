@@ -92,21 +92,6 @@ def cmd_layout(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    argv: list[str] = [str(p) for p in args.paths]
-    if args.json:
-        argv.append("--json")
-    if args.show_suppressed:
-        argv.append("--show-suppressed")
-    if args.baseline is not None:
-        argv.extend(["--baseline", str(args.baseline)])
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    return lint_main(argv)
-
-
 def cmd_store(args: argparse.Namespace) -> int:
     from repro.sim.store import FingerprintStore
 
@@ -215,21 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "expired claims, and empty segments")
     st.set_defaults(fn=cmd_store)
 
-    lt = sub.add_parser(
-        "lint",
-        help="simulator-aware static analysis (determinism, observer-hook "
-        "conformance, stats discipline, pickle safety; docs/linting.md)")
-    lt.add_argument("paths", nargs="*", default=[],
-                    help="files/directories (default: the repro package)")
-    lt.add_argument("--json", action="store_true",
-                    help="emit findings as JSON")
-    lt.add_argument("--show-suppressed", action="store_true",
-                    help="also print inline-suppressed findings")
-    lt.add_argument("--baseline", default=None,
-                    help="JSON baseline: fail only on findings not in it")
-    lt.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline with current findings")
-    lt.set_defaults(fn=cmd_lint)
     return p
 
 

@@ -5,7 +5,8 @@ sha256 of :func:`~repro.sim.store.canonical_result_blob` for every spec
 the ``campaign-store`` benchmark simulates: all 9 arches x 8 workloads at
 256 records, seeds ``s`` and ``s + 1``, on the vector backend.  The
 backends are bit-identical, so the reference interpreter must reproduce
-the very same digests.
+the very same digests.  Observer hooks are read-only, so a run with the
+sanitizer and the tracer attached must reproduce them too.
 
 ``tests/test_backends.py`` proves the backends agree with each other;
 only these committed digests prove neither one drifted.  The file has a
@@ -39,10 +40,14 @@ def golden() -> dict[str, str]:
     return json.loads(EXPECTED.read_text())["0"]
 
 
-@pytest.mark.parametrize("backend", ["reference", "vector"])
-def test_digests_match_committed(backend):
+@pytest.mark.parametrize("options", [
+    pytest.param(api.ExecOptions(backend="reference"), id="reference"),
+    pytest.param(api.ExecOptions(backend="vector"), id="vector"),
+    pytest.param(api.ExecOptions(backend="vector", sanitize=True, trace=True),
+                 id="vector-sanitize-trace"),
+])
+def test_digests_match_committed(options):
     want = golden()
-    options = api.ExecOptions(backend=backend)
     specs = []
     for key in want:
         m = _KEY.fullmatch(key)

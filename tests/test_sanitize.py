@@ -3,6 +3,8 @@ invariant class fires under its paired fault injection."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from repro.dram.controller import MemoryController
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
 from repro.sanitize import InvariantViolation, SimSanitizer
+from repro.sanitize import sanitizer as sanitizer_module
 from repro.sanitize.inject import FaultInjector
 from repro.sim.driver import run
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
+from repro.trace import tracer as tracer_module
 
 N = 256
 SANITIZED = ExecOptions(sanitize=True)
@@ -85,6 +89,55 @@ class TestCleanRuns:
         legacy = spec.to_dict()
         del legacy["sanitize"]
         assert RunSpec.from_dict(legacy).sanitize is False
+
+
+# ----------------------------------------------------------------------
+# the observer protocol: every hook is dispatched, at its arity
+# ----------------------------------------------------------------------
+OBSERVED = ExecOptions(backend="vector", sanitize=True, trace=True)
+
+#: sanitized + traced runs that together reach every observer hook: one
+#: spec per arch, DFS rate matching, and a prefetch buffer that evicts
+HOOK_COVER = (
+    [RunSpec(arch, "count", n_records=N, options=OBSERVED)
+     for arch in ARCHITECTURES]
+    + [RunSpec("millipede-rm", "kmeans", n_records=N, options=OBSERVED),
+       RunSpec("millipede", "nbayes", n_records=2048, options=OBSERVED)]
+)
+
+
+def observer_hooks():
+    """``(class, hook name)`` for every ``on_*`` method defined by a class
+    of the sanitizer and tracer modules."""
+    for module in (sanitizer_module, tracer_module):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for name in vars(cls):
+                    if name.startswith("on_"):
+                        yield cls, name
+
+
+def test_every_observer_hook_fires(monkeypatch):
+    """``ObserverChain`` dispatches by name, so a misspelled hook is never
+    called and a wrong signature only fails when the hook fires.  Wrap
+    every hook, run the covering set, and require each to be called with
+    the arguments its component passes."""
+    called = set()
+
+    def recording(key, hook):
+        @functools.wraps(hook)
+        def wrapper(self, *args, **kwargs):
+            called.add(key)
+            return hook(self, *args, **kwargs)
+        return wrapper
+
+    hooks = {f"{cls.__qualname__}.{name}": (cls, name)
+             for cls, name in observer_hooks()}
+    for key, (cls, name) in hooks.items():
+        monkeypatch.setattr(cls, name, recording(key, getattr(cls, name)))
+    for spec in HOOK_COVER:
+        assert run(spec).validated, spec
+    assert sorted(set(hooks) - called) == []
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ is the single knob; see EXPERIMENTS.md for the calibration record.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 WORD_BYTES = 4  #: global memory is word-addressed; one word = 4 bytes.
@@ -212,9 +214,26 @@ class SystemConfig:
     # fingerprint store so a config can cross process and disk boundaries
     # losslessly)
     # ------------------------------------------------------------------
+    def canonical_json(self) -> str:
+        """Deterministic JSON encoding (sorted keys) of every field.
+
+        The one canonical encoding of a config.  It is computed once per
+        instance and kept as immutable text: the instance is frozen, so
+        the text can never go stale (``dataclasses.replace`` builds a new
+        instance, and copies or pickles carry text that still matches)."""
+        text = self.__dict__.get("_canonical_json")
+        if text is None:
+            text = json.dumps(dataclasses.asdict(self), sort_keys=True,
+                              default=str)
+            object.__setattr__(self, "_canonical_json", text)
+        return text
+
     def as_canonical_dict(self) -> dict:
-        """Plain nested dict of every field, suitable for JSON/pickling."""
-        return dataclasses.asdict(self)
+        """Plain nested dict of every field, suitable for JSON/pickling.
+
+        A fresh dict decoded from :meth:`canonical_json`, so callers may
+        mutate it freely."""
+        return json.loads(self.canonical_json())
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
@@ -233,16 +252,8 @@ class SystemConfig:
                 raise KeyError(f"unknown SystemConfig field {key!r}")
         return cls(**kwargs)
 
-    def canonical_json(self) -> str:
-        """Deterministic JSON encoding (sorted keys) of every field."""
-        import json
-
-        return json.dumps(self.as_canonical_dict(), sort_keys=True, default=str)
-
     def fingerprint(self) -> str:
         """Stable short hash of every config field."""
-        import hashlib
-
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     def with_core(self, **kwargs) -> "SystemConfig":

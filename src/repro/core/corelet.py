@@ -336,7 +336,11 @@ class MimdCore:
         self.done = True
         self.finish_ps = t
         self.t = t
-        self.on_done(self)
+        # drop the callback first: it is a bound method of the processor,
+        # which holds this core, and a finished run must be freed by
+        # reference counting, not left as a cycle for the cyclic GC
+        on_done, self.on_done = self.on_done, None
+        on_done(self)
 
     # ------------------------------------------------------------------
     @property

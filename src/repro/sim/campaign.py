@@ -283,9 +283,13 @@ def plan_campaign(
 ) -> CampaignPlan:
     """Plan ``specs`` against ``store``: dedup, shard-filter, and split
     into already-recorded fingerprints vs. specs that need simulation."""
-    store = coerce_store(store)
+    return _plan(dedup_specs(specs), coerce_store(store), shard)
+
+
+def _plan(unique: dict[str, RunSpec], store: FingerprintStore,
+          shard: Optional[tuple[int, int]]) -> CampaignPlan:
+    """:func:`plan_campaign` over an already deduped ``fp -> spec`` map."""
     store.refresh()
-    unique = dedup_specs(specs)
     if shard is not None:
         index, count = shard
         mine = {fp: spec for pos, (fp, spec) in enumerate(unique.items())
@@ -542,23 +546,24 @@ def run_campaign(
     owned = not isinstance(store, FingerprintStore)
     store = coerce_store(store)
     try:
-        specs = list(specs)
+        # dedup once: the plan, the manifest and the stealing loop all
+        # work from this one fingerprint -> spec map
+        unique = dedup_specs(specs)
         if steal is None:
             steal = shard is not None
         # a stealing shard may end up running any spec in the campaign,
         # so its plan (and report) covers the full deduped list
-        plan = plan_campaign(specs, store, shard=None if steal else shard)
+        plan = _plan(unique, store, shard=None if steal else shard)
         if steal and shard is not None:
             plan = dataclasses.replace(plan, shard=shard)
         if name is None:
-            name = "c-" + plan_fingerprint(list(dedup_specs(specs)))
-        store.write_manifest(name, specs, shard=shard)
+            name = "c-" + plan_fingerprint(list(unique))
+        store.write_manifest(name, unique, shard=shard)
 
         tally = _CampaignTally(progress, total=len(plan.specs))
         if steal:
             results, stolen = _run_stealing(
-                store, dedup_specs(plan.specs), shard, workers, resume,
-                lease_s, tally)
+                store, unique, shard, workers, resume, lease_s, tally)
         else:
             tier = store if resume else _WriteOnlyTier(store)
             batch = run_batch(plan.specs, workers=workers, store=tier,

@@ -155,9 +155,16 @@ class RunSpec:
 
     def content_hash(self) -> str:
         """Stable hash of every field (including the full config); equal
-        specs always hash equal across processes and sessions."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        specs always hash equal across processes and sessions.
+
+        Computed once per instance: the spec is frozen, so the 16-char
+        fingerprint is kept on it and can never go stale."""
+        fp = self.__dict__.get("_content_hash")
+        if fp is None:
+            blob = json.dumps(self.to_dict(), sort_keys=True, default=str)
+            fp = hashlib.sha256(blob.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_content_hash", fp)
+        return fp
 
     def replace(self, **kwargs) -> "RunSpec":
         """Field-wise copy (``spec.replace(options=...)`` for the how)."""

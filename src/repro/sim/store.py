@@ -29,9 +29,11 @@ Crash and concurrency model
   reported finished.
 * ``index.json`` and manifests are written with the write-temp-then-
   ``os.replace`` idiom, so readers observe either the old or the new
-  snapshot, never a partial file.  The index is purely an accelerator:
-  :meth:`refresh` (and :meth:`rebuild_index`) recover the exact same
-  mapping by scanning the append-only log.
+  snapshot, never a partial file.  Both are compact single-line JSON
+  (``json``'s C encoder); indented files from older stores still load.
+  The index is purely an accelerator: :meth:`refresh` (and
+  :meth:`rebuild_index`) recover the exact same mapping by scanning the
+  append-only log.
 * Duplicate fingerprints are legal (re-simulation, racing shards);
   deterministic simulations make the payloads interchangeable, and the
   scan order (segments sorted by name, offsets ascending, later wins) makes
@@ -68,7 +70,7 @@ import re
 import time
 import uuid
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.energy.model import EnergyBreakdown
 from repro.sim.driver import RunResult
@@ -444,7 +446,7 @@ class FingerprintStore:
             },
         }
         path = self.root / _INDEX_NAME
-        atomic_write_text(path, json.dumps(snap, indent=1, sort_keys=True))
+        atomic_write_text(path, json.dumps(snap, sort_keys=True))
         return path
 
     def rebuild_index(self) -> Path:
@@ -600,20 +602,24 @@ class FingerprintStore:
     def manifest_path(self, name: str) -> Path:
         return self.manifest_dir / f"{self.safe_name(name)}.json"
 
-    def write_manifest(self, name: str, specs: Sequence[RunSpec],
+    def write_manifest(self, name: str,
+                       specs: "Sequence[RunSpec] | Mapping[str, RunSpec]",
                        shard: Optional[tuple[int, int]] = None) -> Path:
         """Checkpoint a campaign plan: the ordered fingerprint list plus
         each spec's dict, so a later process can resume or delta-plan the
-        campaign without re-deriving the spec list.  Atomic (replace)."""
+        campaign without re-deriving the spec list.  ``specs`` is a spec
+        list (deduped here) or an already deduped ``fingerprint -> spec``
+        map in campaign order.  Atomic (replace)."""
         import datetime
 
-        order: list[str] = []
-        by_fp: dict[str, dict] = {}
-        for spec in specs:
-            fp = spec.content_hash()
-            if fp not in by_fp:
-                order.append(fp)
-                by_fp[fp] = spec.to_dict()
+        if isinstance(specs, Mapping):
+            unique = specs
+        else:
+            unique = {}
+            for spec in specs:
+                unique.setdefault(spec.content_hash(), spec)
+        order = list(unique)
+        by_fp = {fp: spec.to_dict() for fp, spec in unique.items()}
         # operational metadata for failure recovery, never simulation input
         stamp = datetime.datetime.now(datetime.timezone.utc)  # repro-lint: disable=DET002
         manifest = {
@@ -627,7 +633,7 @@ class FingerprintStore:
             "saved_iso": stamp.isoformat(timespec="seconds"),
         }
         path = self.manifest_path(name)
-        atomic_write_text(path, json.dumps(manifest, indent=1, sort_keys=True))
+        atomic_write_text(path, json.dumps(manifest, sort_keys=True))
         return path
 
     def read_manifest(self, name: str) -> Optional[dict]:

@@ -8,6 +8,8 @@ the directions the paper establishes.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.api import run, sweep
 from repro.config import SystemConfig
 from repro.sim import driver
 from repro.sim.driver import ARCHITECTURES
+from repro.sim.options import BACKENDS, ExecOptions
 from repro.sim.spec import RunSpec
 from repro.workloads.registry import workload_names
 
@@ -139,3 +142,31 @@ class TestConfigSweepSafety:
     def test_small_config_runs(self, small_config):
         r = run("millipede", "count", config=small_config, n_records=1024)
         assert r.validated
+
+
+class TestFinishedRunsFreedByRefcount:
+    """A finished unobserved simulation must not leave reference cycles:
+    its memory should come back when the result is returned, not
+    whenever the cyclic GC next runs (that made peak RSS depend on
+    collection timing).
+
+    Out of scope: sanitized and traced runs still form cycles through
+    ``ObserverChain`` (observers hold the components that call them).
+    They are debugging modes, off every timed path."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("arch", FAST_ARCHES)
+    def test_no_cyclic_garbage(self, arch, backend):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(2):
+                run(arch, "count", n_records=64,
+                    options=ExecOptions(backend=backend))
+            gc.collect()
+            cyclic = [type(o).__name__ for o in gc.garbage
+                      if type(o).__module__.startswith("repro")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not cyclic, sorted(set(cyclic))

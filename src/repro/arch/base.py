@@ -11,10 +11,12 @@ import numpy as np
 class Processor(Protocol):
     """What every architecture model exposes to :mod:`repro.sim.driver`.
 
-    Concrete implementations: :class:`repro.core.MillipedeProcessor`,
-    :class:`repro.arch.SsmcProcessor`, :class:`repro.arch.GpgpuSM`,
-    :class:`repro.arch.VwsSM`, :class:`repro.arch.VwsRowSM`,
-    :class:`repro.arch.MulticoreProcessor`.
+    Concrete implementations: the MIMD processors
+    :class:`repro.core.MillipedeProcessor`, :class:`repro.arch.SsmcProcessor`
+    and :class:`repro.arch.MulticoreProcessor`, which share one shell,
+    :class:`repro.core.MimdProcessor`; and the SIMT SMs
+    :class:`repro.arch.GpgpuSM`, :class:`repro.arch.VwsSM` and
+    :class:`repro.arch.VwsRowSM`.
     """
 
     finish_ps: Optional[int]

@@ -381,7 +381,6 @@ class GpgpuSM:
         self.instructions = int(plan.instr_count.sum())
         self.branches = int(plan.branches.sum())
         self.shared_mem.accesses = plan.shared_accesses
-        self.shared_mem.conflict_extra_cycles = plan.conflict_extra
         self.warp_instructions = plan.warp_instructions
         self.active_lane_slots = plan.active_lane_slots
         self.divergence_idle_slots = plan.divergence_idle_slots

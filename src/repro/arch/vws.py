@@ -47,6 +47,9 @@ class VwsRowSM(VwsSM):
     """
 
     uses_l1d_input_path = False
+    #: interleaved traversal: a warp's lanes read words of other warps'
+    #: slabs, so the sanitizer's ``slab-privacy`` check does not apply
+    private_slabs = False
 
     def __init__(self, engine, config: SystemConfig, program, global_mem, stats,
                  *, input_base_word: int, input_end_word: int, layout=None, **kw):

@@ -25,6 +25,14 @@ from dataclasses import dataclass, field
 WORD_BYTES = 4  #: global memory is word-addressed; one word = 4 bytes.
 
 
+def _require_positive(section: str, cfg, *names: str) -> None:
+    """Raise a ``ValueError`` naming the first field of ``cfg`` below 1."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value < 1:
+            raise ValueError(f"{section}.{name}={value!r}: must be >= 1")
+
+
 @dataclass(frozen=True)
 class DramConfig:
     """Die-stacked DRAM channel parameters (Table III, bottom half)."""
@@ -70,6 +78,9 @@ class CoreConfig:
     issue_gap_cycles: int = 4
     icache_bytes: int = 4096
     icache_line_bytes: int = 128
+
+    def __post_init__(self):
+        _require_positive("core", self, "n_cores", "n_threads")
 
 
 @dataclass(frozen=True)
@@ -164,6 +175,9 @@ class MulticoreConfig:
     #: to a simple in-order corelet (rename/wakeup/bypass networks, larger
     #: structures); order-of-magnitude per published core-energy studies
     core_energy_multiplier: float = 6.0
+
+    def __post_init__(self):
+        _require_positive("multicore", self, "n_cores", "n_threads")
 
 
 @dataclass(frozen=True)

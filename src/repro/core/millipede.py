@@ -20,20 +20,18 @@ software-barrier ablation       ``record_barriers=True`` (kernel emits
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.config import SystemConfig, WORD_BYTES
 from repro.core.corelet import MimdCore
 from repro.core.flow_control import BarrierCoordinator
+from repro.core.processor import MimdProcessor
 from repro.core.rate_match import RateMatchController
-from repro.core.replay import build_plan
 from repro.dram.controller import MemoryController
 from repro.dram.dram import GlobalMemory
-from repro.engine.clock import Clock
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
 from repro.isa.program import Program
-from repro.mem.local_memory import LocalMemory
 from repro.mem.prefetch_buffer import PrefetchBuffer
 
 
@@ -57,34 +55,19 @@ class _MillipedeCorelet(MimdCore):
         self.barrier.arrive(self, slot)
 
 
-class MillipedeProcessor:
+class MillipedeProcessor(MimdProcessor):
     """One Millipede processor attached to one die-stacked channel."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        config: SystemConfig,
-        program: Program,
-        global_mem: GlobalMemory,
-        stats: Stats,
-        *,
-        input_base_word: int,
-        input_end_word: int,
-        layout=None,
-        backend: str = "reference",
-    ):
-        self.engine = engine
-        self.config = config
-        self.program = program
-        self.global_mem = global_mem
-        self.stats = stats
-        if backend not in ("reference", "vector"):
-            raise ValueError(f"unknown processor backend {backend!r}")
-        self.backend = backend
-        self._thread_args = None
-        self._initial_state = None
+    #: chunked traversal: each corelet reads only its own slab of a
+    #: prefetch-buffer row (the sanitizer's ``slab-privacy`` invariant)
+    private_slabs = True
 
+    def __init__(self, engine: Engine, config: SystemConfig, program: Program,
+                 global_mem: GlobalMemory, stats: Stats, *, input_base_word: int,
+                 input_end_word: int, layout=None, backend: str = "reference"):
         core_cfg = config.core
+        super().__init__(engine, config, program, global_mem, stats,
+                         core_cfg, "millipede", backend)
         mcfg = config.millipede
         row_words = config.dram.row_words
         if input_base_word % row_words or input_end_word % row_words:
@@ -94,7 +77,6 @@ class MillipedeProcessor:
                 f"with {row_words}-word rows"
             )
 
-        self.clock = Clock(core_cfg.clock_hz, "millipede")
         self.mc = MemoryController(engine, config.dram, stats, name="dram")
         self.prefetch_buffer = PrefetchBuffer(
             engine,
@@ -120,106 +102,21 @@ class MillipedeProcessor:
             self.barrier = BarrierCoordinator(stats)
             self.barrier.set_expected(core_cfg.n_cores * core_cfg.n_threads)
 
-        lm_words = mcfg.local_memory_bytes // WORD_BYTES
-        self._done_count = 0
-        self.finish_ps: Optional[int] = None
-        self.on_finished: Optional[Callable[[], None]] = None
-        self.corelets = [
-            _MillipedeCorelet(
-                engine,
-                program,
-                core_cfg,
-                self.clock,
-                LocalMemory(lm_words),
-                core_id,
-                self._corelet_done,
-                prefetch_buffer=self.prefetch_buffer,
-                barrier=self.barrier,
-            )
+        self.cores = [
+            self._new_core(_MillipedeCorelet, core_id,
+                           prefetch_buffer=self.prefetch_buffer,
+                           barrier=self.barrier)
             for core_id in range(core_cfg.n_cores)
         ]
+        self._input_rows = (input_base_word // row_words,
+                            input_end_word // row_words - 1)
 
-        self._input_base = input_base_word
-        self._input_end = input_end_word
+    def _start_memory(self) -> None:
+        self.prefetch_buffer.start(*self._input_rows)
 
-    # ------------------------------------------------------------------
-    def load_initial_state(self, state) -> None:
-        """Preload every thread's live-state partition (host copy-in of
-        constants such as centroids, section IV-E)."""
-        self._initial_state = state
-        n_threads = self.config.core.n_threads
-        for c in self.corelets:
-            if len(state) > c.state_words:
-                raise ValueError(
-                    f"initial state of {len(state)} words exceeds the "
-                    f"{c.state_words}-word per-thread partition"
-                )
-            for slot in range(n_threads):
-                lo = slot * c.state_words
-                c.local_mem.data[lo : lo + len(state)] = state
-
-    def set_thread_args(self, args_per_thread: list[dict[int, float]]) -> None:
-        """Record the kernel ABI registers for the functional phase; global
-        thread *g* runs on corelet ``g // n_threads``, context
-        ``g % n_threads`` - so the four
-        contexts of a corelet process records whose row slabs coincide."""
-        self._thread_args = args_per_thread
-        expected = self.config.core.n_cores * self.config.core.n_threads
-        if len(args_per_thread) != expected:
-            raise ValueError(f"need {expected} thread-arg dicts, got {len(args_per_thread)}")
-
-    def start(self) -> None:
-        plan = build_plan(self, self.config.core.n_registers)
-        for c in self.corelets:
-            c.load_plan(plan)
-        row_words = self.config.dram.row_words
-        self.prefetch_buffer.start(
-            self._input_base // row_words,
-            self._input_end // row_words - 1,
-        )
-        for c in self.corelets:
-            c.start()
-
-    # ------------------------------------------------------------------
-    def _corelet_done(self, corelet: MimdCore) -> None:
-        self._done_count += 1
-        if self._done_count == len(self.corelets):
-            self.finish_ps = max(c.finish_ps for c in self.corelets)
-            self.stats.set("proc.finish_ps", self.finish_ps)
-            if self.on_finished is not None:
-                self.on_finished()
-
-    @property
-    def done(self) -> bool:
-        return self._done_count == len(self.corelets)
-
-    # ------------------------------------------------------------------
-    # result extraction (host copy-out, section IV-E)
-    # ------------------------------------------------------------------
-    def thread_states(self) -> list:
-        """Per-global-thread live-state arrays, in global thread order."""
-        out = []
-        for c in self.corelets:
-            for slot in range(self.config.core.n_threads):
-                lo = slot * c.state_words
-                out.append(c.local_mem.data[lo : lo + c.state_words].copy())
-        return out
-
-    # ------------------------------------------------------------------
     def collect(self) -> dict[str, float]:
-        """Aggregate per-run numbers for the energy model / reports."""
-        instructions = sum(c.instructions for c in self.corelets)
-        idle_cycles = sum(c.idle_cycles for c in self.corelets)
-        local_accesses = sum(c.local_mem.accesses for c in self.corelets)
-        branches = sum(c.dynamic_branches for c in self.corelets)
-        out = {
-            "instructions": instructions,
-            "idle_cycles": idle_cycles,
-            "local_accesses": local_accesses,
-            "branches": branches,
-            "finish_ps": self.finish_ps or 0,
-            "icache_fetches": instructions,  # one fetch per core-instruction
-        }
+        out = super().collect()
+        out["local_accesses"] = sum(c.local_mem.accesses for c in self.cores)
         if self.rate_controller is not None and self.finish_ps:
             out["rate_match_final_hz"] = self.rate_controller.final_freq_hz
             out["rate_match_mean_hz"] = self.rate_controller.mean_freq_hz(self.finish_ps)

@@ -34,28 +34,24 @@ def build_simt_plan(sm, n_registers: int) -> SimtPlan:
     if args is None:
         raise RuntimeError("set_thread_args() must precede start()")
     shape = (args, n_registers, sm.state_words, sm.width, sm._initial_state)
-    n_banks = sm.shared_mem.n_banks
     if sm.backend == "vector":
-        return execute_simt(sm.program, sm.global_mem.data, *shape,
-                            n_banks=n_banks)
-    return trace_warps(sm.program, sm.global_mem.read_word, *shape,
-                       n_banks=n_banks)
+        return execute_simt(sm.program, sm.global_mem.data, *shape)
+    return trace_warps(sm.program, sm.global_mem.read_word, *shape)
 
 
 def build_plan(processor, n_registers: int) -> VectorPlan:
-    """Run the MIMD functional phase for a processor's stored launch state.
-
-    Expects the processor to have captured ``_thread_args`` (global
-    thread order) and ``_initial_state`` before ``start()``."""
+    """Run the MIMD functional phase for a
+    :class:`~repro.core.processor.MimdProcessor`'s stored launch state
+    (``_thread_args`` in global thread order, ``_initial_state``)."""
     from repro.isa.vector import execute
 
-    cores = getattr(processor, "corelets", None) or processor.cores
-    args = getattr(processor, "_thread_args", None)
+    args = processor._thread_args
     if args is None:
         raise RuntimeError("set_thread_args() must precede start()")
     gm = processor.global_mem
+    state_words = processor.cores[0].state_words
     if processor.backend == "vector":
         return execute(processor.program, gm.data, args, n_registers,
-                       cores[0].state_words, processor._initial_state)
+                       state_words, processor._initial_state)
     return trace_threads(processor.program, gm.read_word, args, n_registers,
-                         cores[0].state_words, processor._initial_state)
+                         state_words, processor._initial_state)

@@ -334,7 +334,6 @@ def trace_warps(
     state_words: int,
     width: int,
     initial_state: Optional[np.ndarray] = None,
-    n_banks: Optional[int] = None,
 ) -> SimtPlan:
     """Walk every warp to completion under its PDOM reconvergence stack;
     return the replay plan :func:`repro.isa.vector.execute_simt` would
@@ -345,9 +344,7 @@ def trace_warps(
     the else-path, then the taken path; reconverged frames pop after
     every instruction.  Warps share no mutable state, so walking them one
     after another is exact.  Arguments follow :func:`trace_threads`;
-    ``width`` consecutive global threads form a warp, and ``n_banks``
-    enables the banked-shared-memory conflict count (thread ``g``'s word
-    ``a`` sits in bank ``(a * T + g) % n_banks``).
+    ``width`` consecutive global threads form a warp.
     """
     T = len(thread_args)
     if T % width:
@@ -358,13 +355,10 @@ def trace_warps(
     local = np.zeros((T, state_words), dtype=np.float64)
     if initial_state is not None:
         local[:, : len(initial_state)] = initial_state
-    # the striping is conflict-free when T is a bank multiple and a warp
-    # spans at most n_banks lanes; otherwise count every access
-    count_conflicts = n_banks is not None and bool(T % n_banks or width > n_banks)
     traces = []
     instr_count, reads, writes = ([0] * T for _ in range(3))
     branches, taken = [], []
-    issues = active_slots = divergent = uniform = shared = conflict = 0
+    issues = active_slots = divergent = uniform = shared = 0
     for w in range(T // width):
         base = w * width
         lanes = [ThreadContext(base + l, n_regs) for l in range(width)]
@@ -412,7 +406,6 @@ def trace_warps(
             elif op == _LDL or op == _STL:
                 load = op == _LDL
                 ra = ins.rs if load else ins.rt
-                banks = {}
                 for l in active:
                     ctx = lanes[l]
                     addr = int(ctx.regs[ra] + ins.imm)
@@ -424,12 +417,7 @@ def trace_warps(
                     else:
                         mem[l][addr] = float(ctx.regs[ins.rs])
                         writes[base + l] += 1
-                    if count_conflicts:
-                        b = (addr * T + base + l) % n_banks
-                        banks[b] = banks.get(b, 0) + 1
                 shared += len(active)
-                if banks:
-                    conflict += max(banks.values()) - 1
                 top[1] = pc + 1
                 gap += 1
             elif op == _LDG:
@@ -492,5 +480,4 @@ def trace_warps(
         divergent_branches=divergent,
         uniform_branches=uniform,
         shared_accesses=shared,
-        conflict_extra=conflict,
     )

@@ -5,9 +5,10 @@ bank *i* ("the i-th thread's state in the i-th bank"); the SM translates a
 thread-private local address ``a`` of the thread on lane ``l`` to physical
 word ``a * n_banks + l``, so a warp's 32 simultaneous *irregular* accesses
 are conflict-free - this is how the paper's GPGPU sidesteps uncoalesced
-indirect accesses.  The model still detects conflicts generically (a
-property test asserts the striping really is conflict-free) and charges the
-crossbar energy that makes shared memory "power-hungry" in Fig. 4.
+indirect accesses.  So the simulator counts accesses, not conflicts:
+:meth:`BankedSharedMemory.conflict_cycles` is the bank-service model the
+striping property tests check, and the access count charges the crossbar
+energy that makes shared memory "power-hungry" in Fig. 4.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ class BankedSharedMemory:
     """Bank geometry and access counters of the word-interleaved scratchpad.
 
     The contents live in the SIMT functional phase's live-state matrix;
-    the SM installs that phase's access and conflict totals here at finish.
+    the SM installs that phase's access total here at finish.
 
     >>> sm = BankedSharedMemory(n_words=64, n_banks=4)
     >>> sm.conflict_cycles([0, 1, 2, 3])   # four distinct banks
@@ -32,7 +33,6 @@ class BankedSharedMemory:
         self.n_words = n_words
         self.n_banks = n_banks
         self.accesses = 0
-        self.conflict_extra_cycles = 0
 
     # ------------------------------------------------------------------
     def translate(self, thread_local_addr: int, lane: int) -> int:
@@ -52,7 +52,5 @@ class BankedSharedMemory:
         for a in phys_addrs:
             b = a % self.n_banks
             counts[b] = counts.get(b, 0) + 1
-        worst = max(counts.values())
         self.accesses += len(phys_addrs)
-        self.conflict_extra_cycles += worst - 1
-        return worst
+        return max(counts.values())

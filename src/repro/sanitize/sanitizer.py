@@ -161,9 +161,7 @@ class SimSanitizer:
             self.attach_controller(mc)
         pb = getattr(proc, "prefetch_buffer", None)
         if pb is not None:
-            # chunked-traversal corelets own private slabs; interleaved
-            # SIMT consumers (VwsRowSM) legitimately share rows
-            self.attach_prefetch_buffer(pb, private_slabs=hasattr(proc, "corelets"))
+            self.attach_prefetch_buffer(pb, private_slabs=proc.private_slabs)
         if getattr(proc, "warps", None) is not None:
             self.attach_simt(proc)
         barrier = getattr(proc, "barrier", None)

@@ -160,7 +160,7 @@ class SimTracer:
         if clock is not None:
             attach_observer(clock, self)
             s.add_probe("dfs.freq_hz", lambda: clock.freq_hz)
-        units = getattr(proc, "corelets", None) or getattr(proc, "cores", None)
+        units = getattr(proc, "cores", None)
         if units:
             s.add_probe("corelet.instructions",
                         lambda: [c.instructions for c in units])

@@ -143,6 +143,92 @@ class TestConfigSweepSafety:
         r = run("millipede", "count", config=small_config, n_records=1024)
         assert r.validated
 
+    @pytest.mark.parametrize("section, field", [
+        ("core", "n_cores"), ("multicore", "n_cores"),
+        ("multicore", "n_threads")])
+    def test_core_and_thread_counts_must_be_positive(self, section, field):
+        with pytest.raises(ValueError, match=rf"{section}\.{field}=0: must be >= 1"):
+            getattr(SystemConfig(), f"with_{section}")(**{field: 0})
+
+
+#: the MIMD architectures: one MimdProcessor shell, three memory sides
+MIMD_ARCHES = ["ssmc", "millipede", "millipede-nofc", "millipede-rm",
+               "millipede-bar", "multicore"]
+
+
+class _Launched(Exception):
+    """Carries the processor out of the driver before simulated time."""
+
+
+def launched(spec: RunSpec):
+    """``(processor, sanitizer)`` of ``spec``, built but not started."""
+    def grab(proc, engine, sanitizer):
+        raise _Launched(proc, sanitizer)
+
+    with pytest.raises(_Launched) as exc:
+        driver.run(spec, probe=grab)
+    return exc.value.args
+
+
+class TestBadMimdGeometryFailsLoudly:
+    """Bad thread geometry is a ValueError naming the field, on every
+    MIMD architecture, before anything is simulated."""
+
+    @pytest.mark.parametrize("arch", ["millipede", "ssmc", "multicore"])
+    def test_zero_threads_rejected(self, arch):
+        with pytest.raises(ValueError, match=r"core\.n_threads=0"):
+            run(arch, "count", n_records=1024,
+                config=SystemConfig().with_core(n_threads=0))
+
+    @pytest.mark.parametrize("arch", ["millipede", "ssmc", "multicore"])
+    def test_sub_word_state_partition_rejected(self, arch):
+        cfg = SystemConfig().with_millipede(local_memory_bytes=8)
+        with pytest.raises(ValueError, match=(
+                r"millipede\.local_memory_bytes=8 .* 0-word state "
+                r"partition .* at least 1 word")):
+            run(arch, "count", n_records=1024, config=cfg)
+
+
+class TestMimdShell:
+    def test_mimd_arches_share_the_shell(self):
+        from repro.core import MimdProcessor
+
+        mimd = [a for a, (cls, _, _) in ARCHITECTURES.items()
+                if issubclass(cls, MimdProcessor)]
+        assert sorted(mimd) == sorted(MIMD_ARCHES)
+        for arch in mimd:
+            proc, _ = launched(RunSpec(arch, "count", n_records=64))
+            assert proc.cores, arch
+            assert "corelets" not in dir(proc), arch
+
+    @pytest.mark.parametrize("arch", ["millipede", "millipede-nofc",
+                                      "millipede-rm", "millipede-bar",
+                                      "vws-row"])
+    def test_slab_privacy_checked_exactly_on_millipede(self, arch):
+        caps = {}
+
+        def probe(proc, engine, sanitizer):
+            caps["san"] = sanitizer
+
+        driver.run(RunSpec(arch, "count", n_records=256,
+                           options=ExecOptions(sanitize=True)), probe=probe)
+        ticks = caps["san"].report()["checks"].get("slab-privacy", 0)
+        assert (ticks > 0) == arch.startswith("millipede"), ticks
+
+    @pytest.mark.parametrize("arch", ["millipede", "ssmc", "multicore"])
+    def test_traced_instruction_rows_cover_every_core(self, arch):
+        caps = {}
+
+        def probe(proc, engine, sanitizer):
+            caps["proc"] = proc
+
+        r = driver.run(RunSpec(arch, "count", n_records=256,
+                               options=ExecOptions(trace=True)), probe=probe)
+        _, rows = r.trace.series("corelet.instructions")
+        n_cores = len(caps["proc"].cores)
+        assert rows and n_cores > 1
+        assert all(len(row) == n_cores for row in rows)
+
 
 class TestFinishedRunsFreedByRefcount:
     """A finished unobserved simulation must not leave reference cycles:

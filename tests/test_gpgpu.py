@@ -199,7 +199,6 @@ class TestMemoryPath:
                         [{1: (g * 13) % 32} for g in range(16)],
                         backend=backend, n_lanes=8, n_threads=2, width=8)
             assert sm.shared_mem.accesses == 16
-            assert sm.shared_mem.conflict_extra_cycles == 0
 
     def test_state_capacity_enforced(self):
         for backend in BACKENDS:

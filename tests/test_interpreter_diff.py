@@ -189,7 +189,7 @@ _SIMT_COUNTERS = (
     "instr_count", "branches", "taken_branches", "local_reads",
     "local_writes", "warp_instructions", "active_lane_slots",
     "divergence_idle_slots", "divergent_branches", "uniform_branches",
-    "shared_accesses", "conflict_extra",
+    "shared_accesses",
 )
 
 
@@ -223,9 +223,8 @@ class TestTraceEquality:
                                       "multicore"])
     def test_workload_plans_agree(self, arch, wl):
         proc = launch_state(arch, wl)
-        cores = getattr(proc, "corelets", None) or proc.cores
         shape = (proc._thread_args, proc.config.core.n_registers,
-                 cores[0].state_words, proc._initial_state)
+                 proc.cores[0].state_words, proc._initial_state)
         scalar = trace_threads(proc.program, proc.global_mem.read_word,
                                *shape)
         vector = execute(proc.program, proc.global_mem.data, *shape)
@@ -252,17 +251,12 @@ class TestSimtTraceEquality:
     @pytest.mark.parametrize("wl", workload_names())
     @pytest.mark.parametrize("arch", ["gpgpu", "vws", "vws-row"])
     def test_workload_plans_agree(self, arch, wl):
-        """Same plan from both SIMT producers, with the SM's bank count
-        and with 3 banks (which makes the bank-conflict count nonzero)."""
         sm = launch_state(arch, wl)
         shape = (sm._thread_args, sm.config.core.n_registers,
                  sm.state_words, sm.width, sm._initial_state)
-        for n_banks in (sm.shared_mem.n_banks, 3):
-            scalar = trace_warps(sm.program, sm.global_mem.read_word,
-                                 *shape, n_banks=n_banks)
-            vector = execute_simt(sm.program, sm.global_mem.data, *shape,
-                                  n_banks=n_banks)
-            assert_simt_plans_equal(scalar, vector)
+        scalar = trace_warps(sm.program, sm.global_mem.read_word, *shape)
+        vector = execute_simt(sm.program, sm.global_mem.data, *shape)
+        assert_simt_plans_equal(scalar, vector)
 
 
 # ----------------------------------------------------------------------

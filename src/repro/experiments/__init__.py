@@ -3,7 +3,7 @@ evaluation (section VI).
 
 Each experiment module exposes ``run_experiment(config, n_records,
 options, ...)`` (``options`` an :class:`~repro.sim.options.ExecOptions`;
-``store``/``shard``/``resume``/``steal`` run it as a persistent campaign)
+``store``/``shard``/``resume`` run it as a persistent campaign)
 returning a result object with a ``rows()`` table and a ``markdown()``
 report section; the CLI (``python -m repro.experiments``) runs them
 individually or all together and assembles EXPERIMENTS.md.

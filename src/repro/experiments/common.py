@@ -62,26 +62,23 @@ def _run_specs(
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
     campaign: Optional[str] = None,
-    steal: Optional[bool] = None,
 ) -> list[RunResult]:
     """One dispatch point for every experiment: a plain in-memory batch,
-    or (with ``store``) a durable resume/shard-able campaign
-    (work-stealing by default when sharded; ``steal=False`` for the
-    static split).  Raises :class:`ShardIncomplete` when other shards
-    still owe results."""
+    or (with ``store``) a durable resume/shard-able campaign (sharded
+    campaigns work-steal).  Raises :class:`ShardIncomplete` when other
+    shards still owe results."""
     if store is None:
         if shard is not None:
             raise ValueError("sharding requires a persistent store "
                              "(pass store=, or --store on the CLI)")
         return run_batch(specs, workers=workers, progress=progress)
     report = run_campaign(specs, store, workers=workers, shard=shard,
-                          resume=resume, name=campaign, progress=progress,
-                          steal=steal)
+                          resume=resume, name=campaign, progress=progress)
     gathered = report.gather(specs)
     if any(r is None for r in gathered):
-        have = report.plan.campaign_total - len(report.missing(specs))
-        raise ShardIncomplete(report.name, have, report.plan.campaign_total,
-                              shard, report.misses)
+        total = len(report.plan.specs)
+        have = total - len(report.missing(specs))
+        raise ShardIncomplete(report.name, have, total, shard, report.misses)
     return gathered
 
 
@@ -93,17 +90,16 @@ def batch_run(
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
     campaign: Optional[str] = None,
-    steal: Optional[bool] = None,
 ) -> dict[RunSpec, RunResult]:
     """`run_batch` returning a spec -> result mapping (experiment modules
     index results by (arch, workload) via their spec objects).  With
     ``trace_dir`` set, every traced result's artifacts plus a campaign
     ``index.json`` are written there as results land.  With ``store``
     set, results persist in the fingerprint store and ``shard``/``resume``
-    /``steal`` gain their campaign semantics (docs/campaigns.md)."""
+    gain their campaign semantics (docs/campaigns.md)."""
     writer = _trace_progress(trace_dir)
     results = _run_specs(specs, workers, writer, store=store, shard=shard,
-                         resume=resume, campaign=campaign, steal=steal)
+                         resume=resume, campaign=campaign)
     if writer is not None:
         writer.finish()
     return dict(zip(specs, results))
@@ -122,19 +118,18 @@ def sweep(
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
     campaign: Optional[str] = None,
-    steal: Optional[bool] = None,
 ) -> dict[str, dict[str, RunResult]]:
     """results[workload][arch] for the full cross product.
 
     ``trace_dir`` receives the artifacts of traced runs
-    (``options.trace``); ``store``/``shard``/``resume``/``steal`` run the
-    sweep as a persistent campaign (docs/campaigns.md)."""
+    (``options.trace``); ``store``/``shard``/``resume`` run the sweep as
+    a persistent campaign (docs/campaigns.md)."""
     specs = cross(arches, benches, config=config, n_records=n_records, seed=seed,
                   options=options)
     results = batch_run(specs, workers=workers,
                         trace_dir=trace_dir if options.trace else None,
                         store=store, shard=shard, resume=resume,
-                        campaign=campaign, steal=steal)
+                        campaign=campaign)
     out: dict[str, dict[str, RunResult]] = {wl: {} for wl in benches}
     for spec, result in results.items():
         out[spec.workload][spec.arch] = result

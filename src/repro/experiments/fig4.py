@@ -37,12 +37,10 @@ def run_experiment(
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
-    steal: Optional[bool] = None,
 ) -> ExperimentResult:
     results = sweep(FIG4_ARCHES, BENCHES, config, n_records, workers=workers,
                     options=options, trace_dir=trace_dir, store=store,
-                    shard=shard, resume=resume, campaign="fig4",
-                    steal=steal)
+                    shard=shard, resume=resume, campaign="fig4")
 
     rows = []
     for wl in BENCHES:

@@ -36,7 +36,6 @@ def run_experiment(
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
-    steal: Optional[bool] = None,
 ) -> ExperimentResult:
     specs = {
         (a, wl): RunSpec(a, wl, config=config, n_records=n_records,
@@ -46,8 +45,7 @@ def run_experiment(
     }
     results = batch_run(list(specs.values()), workers=workers,
                         trace_dir=trace_dir if options.trace else None, store=store,
-                        shard=shard, resume=resume, campaign="fig5",
-                        steal=steal)
+                        shard=shard, resume=resume, campaign="fig5")
     rows = []
     speedups, energy_gains, ed_gains = [], [], []
     n_proc = config.n_processors

@@ -28,7 +28,6 @@ def run_experiment(
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
-    steal: Optional[bool] = None,
 ) -> ExperimentResult:
     # one batch across both system sizes (specs carry their own config)
     specs = {
@@ -40,8 +39,7 @@ def run_experiment(
     }
     batch = batch_run(list(specs.values()), workers=workers,
                       trace_dir=trace_dir if options.trace else None, store=store,
-                      shard=shard, resume=resume, campaign="fig6",
-                      steal=steal)
+                      shard=shard, resume=resume, campaign="fig6")
     # results[size][arch][wl]
     res: dict[int, dict[str, dict[str, float]]] = {
         size: {a: {} for a in ARCHES} for size in SIZES

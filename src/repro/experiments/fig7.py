@@ -34,7 +34,6 @@ def run_experiment(
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
-    steal: Optional[bool] = None,
 ) -> ExperimentResult:
     specs = {}
     for entries in ENTRY_COUNTS:
@@ -47,8 +46,7 @@ def run_experiment(
                                          n_records=n_records, options=options)
     batch = batch_run(list(specs.values()), workers=workers,
                       trace_dir=trace_dir if options.trace else None, store=store,
-                      shard=shard, resume=resume, campaign="fig7",
-                      steal=steal)
+                      shard=shard, resume=resume, campaign="fig7")
     tput: dict[str, dict[int, float]] = {wl: {} for wl in FIG7_BENCHES}
     for (entries, wl), spec in specs.items():
         tput[wl][entries] = batch[spec].throughput_words_per_s

@@ -102,17 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the I-th of N round-robin slices of the "
         "campaign's deduplicated spec list (1-based, e.g. 2/3); shards "
         "merge through the shared store, and the table prints once "
-        "every shard's work is recorded; by default the slice is a "
-        "work-stealing hint (see --steal)",
-    )
-    p.add_argument(
-        "--steal",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="claim pending specs through atomic lease "
-        "files so an idle shard steals a straggler's (or a killed "
-        "shard's) unclaimed work (default: on whenever --shard is "
-        "given); --no-steal restores the static hard-assignment split",
+        "every shard's work is recorded; the slice is a claim-order "
+        "hint: pending specs are claimed through atomic lease files, so "
+        "an idle shard steals a straggler's (or a killed shard's) "
+        "unclaimed work",
     )
     p.add_argument(
         "--write-md",
@@ -158,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
                     store=store,
                     shard=shard,
                     resume=args.resume,
-                    steal=args.steal,
                 )
             except ShardIncomplete as exc:
                 incomplete.append(name)

@@ -44,7 +44,6 @@ def run_experiment(
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
-    steal: Optional[bool] = None,
 ) -> ExperimentResult:
     # table3 runs no simulations; store/shard/resume are accepted for CLI
     # uniformity and ignored

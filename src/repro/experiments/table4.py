@@ -40,7 +40,6 @@ def run_experiment(
     store=None,
     shard: Optional[tuple[int, int]] = None,
     resume: bool = True,
-    steal: Optional[bool] = None,
 ) -> ExperimentResult:
     specs = {
         (a, wl): RunSpec(a, wl, config=config, n_records=n_records,
@@ -50,8 +49,7 @@ def run_experiment(
     }
     results = batch_run(list(specs.values()), workers=workers,
                         trace_dir=trace_dir if options.trace else None, store=store,
-                        shard=shard, resume=resume, campaign="table4",
-                        steal=steal)
+                        shard=shard, resume=resume, campaign="table4")
     rows = []
     for wl in BENCHES:
         ssmc = results[specs["ssmc", wl]]

@@ -61,7 +61,7 @@ class TestRoundTrip:
         spec = RunSpec("millipede", "count", n_records=N)
         result = run(spec)
         store = FingerprintStore(tmp_path)
-        fp = store.put_spec(spec, result)
+        fp = store.put(spec, result)
         assert fp == spec.content_hash()
         assert fp in store and len(store) == 1
         served = store.get_spec(spec)
@@ -83,7 +83,7 @@ class TestCrashDebris:
         complete record before it survives."""
         store = FingerprintStore(tmp_path)
         spec = RunSpec("millipede", "count", n_records=N)
-        store.put_spec(spec, make_result(spec))
+        store.put(spec, make_result(spec))
         store.close()
         seg = next((tmp_path / "log").glob("*.jsonl"))
         with seg.open("ab") as f:
@@ -97,14 +97,14 @@ class TestCrashDebris:
         store = FingerprintStore(tmp_path)
         spec_a = RunSpec("millipede", "count", n_records=N)
         spec_b = RunSpec("ssmc", "count", n_records=N)
-        store.put_spec(spec_a, make_result(spec_a))
+        store.put(spec_a, make_result(spec_a))
         store.close()
         seg = next((tmp_path / "log").glob("*.jsonl"))
         with seg.open("ab") as f:
             f.write(b"not json at all\n")
         # records after the corrupt line still index correctly
         writer2 = FingerprintStore(tmp_path)
-        writer2.put_spec(spec_b, make_result(spec_b))
+        writer2.put(spec_b, make_result(spec_b))
         writer2.close()
         reader = FingerprintStore(tmp_path)
         assert reader.corrupt_lines == 1
@@ -114,7 +114,7 @@ class TestCrashDebris:
     def test_stale_or_corrupt_index_recovers_from_log(self, tmp_path):
         store = FingerprintStore(tmp_path)
         spec = RunSpec("millipede", "count", n_records=N)
-        store.put_spec(spec, make_result(spec))
+        store.put(spec, make_result(spec))
         store.write_index()
         store.close()
         (tmp_path / "index.json").write_text("{ definitely truncated")
@@ -164,7 +164,7 @@ def _fill(root, arches, seeds) -> dict[str, bytes]:
             for seed in seeds:
                 spec = RunSpec(arch, "count", n_records=N, seed=seed)
                 result = make_result(spec)
-                expect[writer.put_spec(spec, result)] = \
+                expect[writer.put(spec, result)] = \
                     canonical_result_blob(result)
     return expect
 
@@ -195,8 +195,8 @@ class TestCompaction:
     def test_compact_drops_superseded_duplicates(self, tmp_path):
         store = FingerprintStore(tmp_path)
         spec = RunSpec("ssmc", "count", n_records=N)
-        store.put_spec(spec, make_result(spec))
-        store.put_spec(spec, make_result(spec))  # duplicate line
+        store.put(spec, make_result(spec))
+        store.put(spec, make_result(spec))  # duplicate line
         summary = store.compact()
         assert summary["compacted"] is True
         assert summary["records"] == 1
@@ -205,7 +205,7 @@ class TestCompaction:
     def test_compact_noop_on_single_clean_segment(self, tmp_path):
         store = FingerprintStore(tmp_path)
         spec = RunSpec("ssmc", "count", n_records=N)
-        store.put_spec(spec, make_result(spec))
+        store.put(spec, make_result(spec))
         before = store.segments()
         summary = store.compact()
         assert summary["compacted"] is False
@@ -247,7 +247,7 @@ class TestCompaction:
         for seed in range(4):
             spec = RunSpec("ssmc", "count", n_records=N, seed=seed)
             result = make_result(spec)
-            expect[store.put_spec(spec, result)] = \
+            expect[store.put(spec, result)] = \
                 canonical_result_blob(result)
         assert len(store.segments()) == 4  # every put rolled
         summary = store.compact()
@@ -259,7 +259,7 @@ class TestCompaction:
     def test_gc_sweeps_debris_keeps_live_state(self, tmp_path):
         store = FingerprintStore(tmp_path)
         spec = RunSpec("ssmc", "count", n_records=N)
-        store.put_spec(spec, make_result(spec))
+        store.put(spec, make_result(spec))
         # debris: crashed atomic writes, an expired claim, empty segment
         # (fixed temp names ARE the debris being tested; docs/linting.md)
         (tmp_path / "index.json.tmp-999-dead").write_text(  # repro-lint: disable=FS003
@@ -316,7 +316,7 @@ def test_prop_roundtrip_and_index_rebuild(records):
         expect: dict[str, bytes] = {}
         for spec, finish_ps, stats in records:
             result = make_result(spec, finish_ps=finish_ps, stats=stats)
-            fp = store.put_spec(spec, result)
+            fp = store.put(spec, result)
             expect[fp] = canonical_result_blob(result)  # last write wins
         store.write_index()
         store.close()
@@ -360,7 +360,7 @@ def test_prop_concurrent_writers_never_drop_or_corrupt(specs, overlap):
             who, spec = queue[i]
             writer = writer_a if who == "a" else writer_b
             result = make_result(spec, finish_ps=1000 + i)
-            writer.put_spec(spec, result)
+            writer.put(spec, result)
             blobs.setdefault(spec.content_hash(), set()).add(
                 canonical_result_blob(result))
         writer_a.close()
@@ -385,7 +385,7 @@ def test_prop_refresh_is_incremental(records):
         writer = FingerprintStore(root)
         seen: set[str] = set()
         for spec, finish_ps, stats in records:
-            writer.put_spec(spec, make_result(spec, finish_ps=finish_ps,
+            writer.put(spec, make_result(spec, finish_ps=finish_ps,
                                               stats=stats))
             seen.add(spec.content_hash())
             reader.refresh()

@@ -90,7 +90,7 @@ class TestStoreCommand:
                  for a in ("ssmc", "millipede")]
         for spec in specs:  # one writer instance each -> two segments
             with FingerprintStore(store_dir) as writer:
-                writer.put_spec(spec, make_result(spec))
+                writer.put(spec, make_result(spec))
 
         assert main(["store", str(store_dir), "info"]) == 0
         out = capsys.readouterr().out

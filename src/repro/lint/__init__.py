@@ -3,8 +3,7 @@
 The static counterpart of the runtime sanitizer (:mod:`repro.sanitize`):
 AST-based rules for the properties no simulated run can check —
 determinism of campaign/store/report code (DET*), worker global mutation
-(PICK*), filesystem crash-safety (FS*), cross-process discipline (IPC*),
-and NumPy platform determinism (NUM*).
+(PICK*), and NumPy platform determinism (NUM*).
 
 Run it as ``python -m repro.lint [paths]`` or ``repro-lint`` (installed
 entry point).  See ``docs/linting.md`` for the rule catalog and

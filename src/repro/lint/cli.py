@@ -37,8 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Simulator-aware static analysis: determinism (DET), "
-        "worker global mutation (PICK), filesystem crash-safety (FS), "
-        "cross-process discipline (IPC), and NumPy determinism (NUM) "
+        "worker global mutation (PICK), and NumPy determinism (NUM) "
         "(see docs/linting.md).",
     )
     p.add_argument("paths", nargs="*", type=Path,

@@ -3,8 +3,8 @@
 The linter is the static counterpart of the runtime sanitizer
 (:mod:`repro.sanitize`): it checks the properties no simulated run can
 see — determinism of the campaign, store and report code that no golden
-digest pins, filesystem crash-safety, cross-process discipline, and
-NumPy platform determinism.
+digest pins, global mutation under worker fan-out, and NumPy platform
+determinism.
 
 Structure
 ---------
@@ -249,8 +249,6 @@ class Binding:
     value: Optional[ast.expr]  #: None for opaque bindings (loop vars, ...)
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z]+")
-
 #: names resolvable to themselves when nothing shadows them (so rules can
 #: match ``set``/``open``/``sum`` canonically, same as imported targets)
 _BUILTIN_NAMES = frozenset(dir(builtins))
@@ -338,10 +336,6 @@ class ModuleFlow:
             cur = self.parents.get(id(cur))
         return self.module.tree
 
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        scope = self.scope_of(node)
-        return None if isinstance(scope, ast.Module) else scope
-
     def _scope_chain(self, scope: ast.AST) -> list[ast.AST]:
         chain = [scope]
         while not isinstance(chain[-1], ast.Module):
@@ -414,8 +408,7 @@ class ModuleFlow:
                 return Origin("ref", path, expr)
             root = root_name(expr)
             if root is not None:
-                fn = self.enclosing_function(expr)
-                if fn is not None and root in self._params.get(id(fn), ()):
+                if root in self._params.get(id(self.scope_of(expr)), ()):
                     return Origin("param", root, expr)
                 binding = self.binding_of(root, expr)
                 if binding is not None and binding.value is not None:
@@ -431,30 +424,6 @@ class ModuleFlow:
         """Canonical dotted path of a call's target, through aliases and
         value bindings; None when unresolvable."""
         return self.canonical(call.func)
-
-    def markers(self, expr: ast.AST, _depth: int = 0) -> set[str]:
-        """Lowercase identifier/string tokens appearing anywhere in the
-        construction of ``expr``, following binding hops for names: the
-        fuzzy half of shared-path recognition (``store.claim_path(fp)``
-        -> {"store", "claim", "path", "fp"})."""
-        if _depth > self.MAX_DEPTH:
-            return set()
-        out: set[str] = set()
-        for node in ast.walk(expr if isinstance(expr, ast.AST) else expr):
-            if isinstance(node, ast.Name):
-                out.update(_tokens(node.id))
-                binding = self.binding_of(node.id, node)
-                if binding is not None and binding.value is not None:
-                    out |= self.markers(binding.value, _depth + 1)
-            elif isinstance(node, ast.Attribute):
-                out.update(_tokens(node.attr))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.update(_tokens(node.value))
-        return out
-
-
-def _tokens(text: str) -> set[str]:
-    return {t.lower() for t in _TOKEN_RE.findall(text)}
 
 
 # ----------------------------------------------------------------------

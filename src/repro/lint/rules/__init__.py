@@ -3,8 +3,6 @@ with :data:`repro.lint.core.REGISTRY`."""
 
 from repro.lint.rules import (  # noqa: F401
     determinism,
-    fs_safety,
-    ipc,
     numpy_det,
     pickle_safety,
 )

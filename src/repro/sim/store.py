@@ -25,11 +25,15 @@ Crash and concurrency model
 * A record is one ``write()`` of one newline-terminated line; a writer
   killed mid-append leaves at most one torn tail line, which every reader
   skips (it is not newline-terminated / not valid JSON).  Records are
-  flushed to the OS per append, so a SIGKILL'd process loses nothing it
-  reported finished.
-* ``index.json`` and manifests are written with the write-temp-then-
-  ``os.replace`` idiom, so readers observe either the old or the new
-  snapshot, never a partial file.  Both are compact single-line JSON
+  flushed to the OS per append but not fsynced, so a SIGKILL'd process
+  loses nothing it reported finished, while a power loss can drop the
+  most recent records.  An append that fails (ENOSPC, EIO) abandons its
+  segment, so the torn bytes stay a tail and the next record starts a
+  fresh segment instead of being glued onto them.
+* ``index.json``, manifests, claims and compacted segments are all
+  published by :func:`atomic_publish` (unique temp name, flush, fsync,
+  ``os.replace``), so readers observe either the old or the new file,
+  never a partial one.  Index and manifests are compact single-line JSON
   (``json``'s C encoder); indented files from older stores still load.
   The index is purely an accelerator: :meth:`refresh` (and
   :meth:`rebuild_index`) recover the exact same mapping by scanning the
@@ -62,6 +66,7 @@ record into it (``put``) from the calling process only.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -70,7 +75,7 @@ import re
 import time
 import uuid
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import IO, Iterator, Mapping, Optional, Sequence
 
 from repro.energy.model import EnergyBreakdown
 from repro.sim.driver import RunResult
@@ -138,17 +143,35 @@ def plan_fingerprint(fingerprints: Sequence[str]) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Publish ``text`` at ``path`` crash-safely: write a uniquely-named
-    temp file in full, flush+fsync it, then ``os.replace`` it over the
-    live name.  The sanctioned implementation of the shared-path write
-    discipline the FS lint rules enforce (``docs/linting.md``)."""
+def _named(exc: OSError, what: str) -> OSError:
+    """``exc`` restated with a message that names what failed."""
+    return OSError(exc.errno, f"{what}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def atomic_publish(path: Path, mode: str = "w") -> Iterator[IO]:
+    """Publish a file at ``path`` crash-safely.  The caller writes into a
+    file staged under a unique temp name beside ``path``; on a clean exit
+    it is flushed, fsynced and ``os.replace``-d over the live name, so a
+    reader (or a crash) sees the old bytes or the new, never a torn file.
+    A failure leaves the live file untouched and the temp file as debris
+    for :meth:`FingerprintStore.gc`, and re-raises the ``OSError`` with
+    ``path`` in its message."""
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-    with tmp.open("w") as f:
+    try:
+        with tmp.open(mode) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise _named(exc, f"cannot publish {path}") from exc
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` through :func:`atomic_publish`."""
+    with atomic_publish(path) as f:
         f.write(text)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 class FingerprintStore:
@@ -193,6 +216,14 @@ class FingerprintStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def __reduce__(self):
+        # the writer id signs claims and names the segment, so a pickled
+        # copy in a worker would act as this same writer
+        raise TypeError(
+            f"FingerprintStore({str(self.root)!r}) is per-process state and "
+            "cannot be pickled; open a FingerprintStore on the same root in "
+            "each process")
 
     # ------------------------------------------------------------------
     # read path
@@ -304,9 +335,21 @@ class FingerprintStore:
             self._segment_file = (self.log_dir / self._segment_name).open("ab")
         return self._segment_file
 
+    def _roll_segment(self) -> None:
+        """Retire the open segment; the next :meth:`put` starts a fresh
+        one (the size cap, and the way out of a failed append)."""
+        try:
+            self.close()
+        except OSError:
+            pass  # a failed append's buffered bytes; the fd is closed
+        self._segment_name = f"w{os.getpid()}-{uuid.uuid4().hex[:8]}.jsonl"
+
     def put(self, spec: RunSpec, result: RunResult) -> str:
         """Append one record; returns the fingerprint.  The line is flushed
-        to the OS before returning, so a subsequent SIGKILL cannot lose it."""
+        to the OS before returning, so a subsequent SIGKILL cannot lose it.
+        A failed append abandons the segment (its torn bytes stay a tail
+        that readers skip) and raises an ``OSError`` naming the
+        fingerprint."""
         fp = spec.content_hash()
         rec = {
             "schema": SCHEMA,
@@ -319,13 +362,15 @@ class FingerprintStore:
         offset = f.tell()
         if (self.max_segment_bytes is not None and offset > 0
                 and offset + len(line) > self.max_segment_bytes):
-            # size cap: retire this segment and start a fresh one
-            self.close()
-            self._segment_name = f"w{os.getpid()}-{uuid.uuid4().hex[:8]}.jsonl"
+            self._roll_segment()  # size cap
             f = self._own_segment()
             offset = f.tell()
-        f.write(line)
-        f.flush()
+        try:
+            f.write(line)
+            f.flush()
+        except OSError as exc:
+            self._roll_segment()  # never append onto the torn bytes
+            raise _named(exc, f"record {fp} not stored") from exc
         self._index[fp] = (self._segment_name, offset, len(line))
         self._scanned[self._segment_name] = offset + len(line)
         self._records[fp] = rec
@@ -335,9 +380,9 @@ class FingerprintStore:
         """Close the open segment file descriptor (idempotent).  Reading
         still works afterwards, and a later :meth:`put` re-opens the same
         segment in append mode."""
-        if self._segment_file is not None:
-            self._segment_file.close()
-            self._segment_file = None
+        f, self._segment_file = self._segment_file, None
+        if f is not None:
+            f.close()
 
     # ------------------------------------------------------------------
     # sharded-campaign claims (advisory leases; docs/campaigns.md)
@@ -386,7 +431,10 @@ class FingerprintStore:
         still **advisory**: two writers claiming the same fingerprint at
         the same instant can both win the write-then-read-back, and that
         lost race merely duplicates one deterministic simulation (the
-        store's duplicate model makes the payloads interchangeable)."""
+        store's duplicate model makes the payloads interchangeable).  A
+        claim that cannot be written raises the ``OSError`` (naming the
+        claim path, hence the fingerprint) rather than reporting the
+        fingerprint as held by another writer."""
         if fingerprint in self._index and not resimulate:
             return False
         holder = self.claim_holder(fingerprint)
@@ -400,11 +448,8 @@ class FingerprintStore:
             "claimed_unix": now,
             "expires_unix": now + float(lease_s),
         }
-        try:
-            atomic_write_text(self.claim_path(fingerprint),
-                               json.dumps(claim, indent=1, sort_keys=True))
-        except OSError:
-            return False
+        atomic_write_text(self.claim_path(fingerprint),
+                          json.dumps(claim, indent=1, sort_keys=True))
         winner = self.read_claim(fingerprint)
         if winner is None or winner.get("writer") != self.writer_id:
             return False
@@ -478,10 +523,10 @@ class FingerprintStore:
         """Rewrite every live record into one fresh segment and retire the
         old segments.  Returns a summary dict.
 
-        The compacted segment is written to a temp file and published with
-        ``os.replace``, so readers never observe a partial segment; a
-        crash between publish and retirement leaves duplicates, which the
-        normal scan model tolerates and a second ``compact()`` removes.
+        The compacted segment is streamed through :func:`atomic_publish`,
+        so readers never observe a partial segment; a crash between
+        publish and retirement leaves duplicates, which the normal scan
+        model tolerates and a second ``compact()`` removes.
         Assumes no concurrent *writer* (maintenance operation); any
         segment that grows while compaction runs is left in place."""
         self.close()
@@ -506,17 +551,12 @@ class FingerprintStore:
                 "segments_retired": 0,
             }
         new_name = f"c{os.getpid()}-{uuid.uuid4().hex[:8]}.jsonl"
-        tmp = self.log_dir / (
-            f"{new_name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-        with tmp.open("wb") as f:
+        with atomic_publish(self.log_dir / new_name, "wb") as f:
             for fingerprint in sorted(self._index):
                 rec = self.get_record(fingerprint)
                 if rec is None:
                     continue
                 f.write((json.dumps(rec, sort_keys=True) + "\n").encode())
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self.log_dir / new_name)
         retired = 0
         for name, size in old.items():
             path = self.log_dir / name

@@ -5,6 +5,7 @@ lifetime, and store lifecycle hygiene (no leaked descriptors)."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -33,7 +34,7 @@ from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
 from repro.sim.store import FingerprintStore, canonical_result_blob
 
-from tests.test_store import make_result
+from tests.test_store import make_result, oserror, record_io
 
 N = 256
 
@@ -87,9 +88,7 @@ class TestClaims:
     def test_garbage_claim_file_treated_as_unclaimed(self, tmp_path):
         store = FingerprintStore(tmp_path)
         fp = "g" * 64
-        # forging a corrupt claim on purpose; see docs/linting.md
-        store.claim_path(fp).write_text(  # repro-lint: disable=FS001
-            "not json{{{")
+        store.claim_path(fp).write_text("not json{{{")
         assert store.claim_holder(fp) is None
         assert store.try_claim(fp)
 
@@ -102,7 +101,7 @@ class TestClaims:
         # a claim whose record has since landed is satisfied -> stale
         # (forged foreign claim; lease expiry is wall-clock by protocol —
         # see docs/linting.md)
-        store.claim_path(spec.content_hash()).write_text(  # repro-lint: disable=FS001
+        store.claim_path(spec.content_hash()).write_text(
             json.dumps({
                 "schema": 1, "fingerprint": spec.content_hash(),
                 "writer": "w0-other", "claimed_unix": 0.0,
@@ -151,6 +150,17 @@ class TestClaims:
         report = run_campaign([spec], b, shard=(1, 1))
         assert report.misses == 0 and report.hits == 1
         assert len(b.segments()) == 1  # only A's record was written
+
+    def test_sharded_campaign_fails_loudly_when_claims_cannot_be_written(
+            self, monkeypatch, tmp_path):
+        """A full disk under the claim directory stops the campaign with
+        an error naming the fingerprint, instead of a normal return that
+        reports every spec as held by another writer."""
+        monkeypatch.setattr(campaign, "_run_with_memo", _synthetic_run)
+        record_io(monkeypatch, fail=lambda path: (
+            oserror(errno.ENOSPC) if path.parent.name == "claims" else None))
+        with pytest.raises(OSError, match=SPECS[0].content_hash()):
+            run_campaign(SPECS, tmp_path, shard=(1, 1))
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +213,8 @@ class TestStealingShards:
         the stealing shard re-claims and simulates the fingerprint."""
         store = FingerprintStore(tmp_path)
         fp = SPECS[0].content_hash()
-        # forging a dead writer's claim on purpose; see docs/linting.md
-        store.claim_path(fp).write_text(  # repro-lint: disable=FS001,IPC003
+        # a dead writer's claim
+        store.claim_path(fp).write_text(
             json.dumps({
                 "schema": 1, "fingerprint": fp, "writer": "w1-deadbeef",
                 "claimed_unix": 0.0, "expires_unix": 1.0,

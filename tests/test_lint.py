@@ -41,8 +41,6 @@ def rule_ids(report) -> list[str]:
 def test_registry_has_all_families():
     ids = set(all_rule_classes())
     assert ids == {"DET001", "DET002", "DET003", "PICK002",
-                   "FS001", "FS002", "FS003", "FS004",
-                   "IPC001", "IPC002", "IPC003",
                    "NUM001", "NUM002", "NUM003", "NUM004"}
     for rule_id, cls in all_rule_classes().items():
         assert cls.id == rule_id
@@ -241,196 +239,6 @@ def test_flow_origin_kinds(tmp_path):
     # rebuild a Load use of ``n`` via the binding table instead
     binding = m.flow.binding_of("n", m.tree.body[-1])
     assert m.flow.origin(binding.value).kind == "const"
-
-
-# ----------------------------------------------------------------------
-# FS: filesystem crash-safety
-# ----------------------------------------------------------------------
-def test_fs001_direct_shared_write_fires(tmp_path):
-    report = lint_source(tmp_path, (
-        "import json\n"
-        "def publish(index_path, payload):\n"
-        "    index_path.write_text(json.dumps(payload))\n"
-    ))
-    assert rule_ids(report) == ["FS001"]
-
-
-def test_fs001_json_dump_into_shared_handle_fires(tmp_path):
-    report = lint_source(tmp_path, (
-        "import json\n"
-        "def publish(manifest_path, payload):\n"
-        "    with manifest_path.open('w') as fh:\n"
-        "        json.dump(payload, fh)\n"
-    ))
-    assert rule_ids(report) == ["FS001"]
-
-
-def test_fs_rules_silent_on_atomic_publish_idiom(tmp_path):
-    # the sanctioned discipline: unique temp, flush+fsync, os.replace
-    report = lint_source(tmp_path, (
-        "import os\n"
-        "import uuid\n"
-        "def publish(index_path, text):\n"
-        "    tmp = index_path.with_name(\n"
-        "        f'{index_path.name}.tmp-{uuid.uuid4().hex}')\n"
-        "    with tmp.open('w') as fh:\n"
-        "        fh.write(text)\n"
-        "        fh.flush()\n"
-        "        os.fsync(fh.fileno())\n"
-        "    os.replace(tmp, index_path)\n"
-    ))
-    assert not [r for r in rule_ids(report) if r.startswith("FS")]
-
-
-def test_fs001_private_path_silent(tmp_path):
-    report = lint_source(tmp_path, (
-        "def save(report_path, text):\n"
-        "    report_path.write_text(text)\n"
-    ))
-    assert "FS001" not in rule_ids(report)
-
-
-def test_fs002_replace_without_fsync_fires(tmp_path):
-    report = lint_source(tmp_path, (
-        "import os\n"
-        "def publish(tmp, live_path, text):\n"
-        "    tmp.write_text(text)\n"
-        "    os.replace(tmp, live_path)\n"
-    ))
-    assert rule_ids(report) == ["FS002"]
-
-
-def test_fs003_constant_temp_name_fires(tmp_path):
-    report = lint_source(tmp_path, (
-        "def stage(store_dir, text):\n"
-        "    staged = store_dir / 'index.json.tmp'\n"
-        "    staged.write_text(text)\n"
-    ), select=["FS003"])
-    assert rule_ids(report) == ["FS003"]
-
-
-def test_fs003_unique_temp_name_silent(tmp_path):
-    report = lint_source(tmp_path, (
-        "import os\n"
-        "def stage(store_dir, text):\n"
-        "    staged = store_dir / f'index.json.tmp-{os.getpid()}'\n"
-        "    staged.write_text(text)\n"
-    ), select=["FS003"])
-    assert rule_ids(report) == []
-
-
-def test_fs004_exists_then_write_fires(tmp_path):
-    report = lint_source(tmp_path, (
-        "def ensure(manifest_path, text):\n"
-        "    if not manifest_path.exists():\n"
-        "        manifest_path.write_text(text)\n"
-    ), select=["FS004"])
-    assert rule_ids(report) == ["FS004"]
-
-
-def test_fs004_private_path_and_other_target_silent(tmp_path):
-    report = lint_source(tmp_path, (
-        "def ensure(cache_path, text):\n"
-        "    if not cache_path.exists():\n"
-        "        cache_path.write_text(text)\n"
-    ), (
-        "def rotate(manifest_path, backup_path, text):\n"
-        "    if manifest_path.exists():\n"
-        "        backup_path.write_text(text)\n"  # different path: no race
-    ), select=["FS004"])
-    assert rule_ids(report) == []
-
-
-# ----------------------------------------------------------------------
-# IPC: cross-process discipline
-# ----------------------------------------------------------------------
-def test_ipc001_store_into_worker_args_fires(tmp_path):
-    report = lint_source(tmp_path, (
-        "from repro.sim.campaign import run_batch\n"
-        "from repro.sim.store import FingerprintStore\n"
-        "def sweep(specs, root):\n"
-        "    store = FingerprintStore(root)\n"
-        "    return run_batch([(s, store) for s in specs], workers=2)\n"
-    ))
-    findings = [f for f in report.unsuppressed if f.rule == "IPC001"]
-    assert len(findings) == 1
-    assert "FingerprintStore" in findings[0].message
-
-
-def test_ipc001_open_handle_into_pool_fires(tmp_path):
-    report = lint_source(tmp_path, (
-        "def fanout(pool, path):\n"
-        "    fh = open(path, 'w')\n"
-        "    return pool.apply_async(process, (fh,))\n"
-    ))
-    assert "IPC001" in rule_ids(report)
-
-
-def test_ipc001_parent_side_cache_kwarg_silent(tmp_path):
-    # the result-tier kwarg (store=) is documented parent-side-only: the
-    # store stays home
-    report = lint_source(tmp_path, (
-        "from repro.sim.campaign import run_batch\n"
-        "from repro.sim.store import FingerprintStore\n"
-        "def sweep(specs, root):\n"
-        "    store = FingerprintStore(root)\n"
-        "    return run_batch(specs, workers=2, store=store)\n"
-    ))
-    assert "IPC001" not in rule_ids(report)
-
-
-def test_ipc002_monotonic_in_lease_function_fires(tmp_path):
-    report = lint_source(tmp_path, (
-        "import time\n"
-        "def claim_expiry(secs):\n"
-        "    return time.monotonic() + secs\n"
-    ))
-    assert rule_ids(report) == ["IPC002"]
-
-
-def test_ipc002_monotonic_into_lease_statement_fires(tmp_path):
-    # lease vocabulary on the assignment target, not the function name
-    report = lint_source(tmp_path, (
-        "import time\n"
-        "def renew(secs):\n"
-        "    expires = time.monotonic() + secs\n"
-        "    return expires\n"
-    ))
-    assert rule_ids(report) == ["IPC002"]
-
-
-def test_ipc002_polling_deadline_silent(tmp_path):
-    # the correct single-process timeout idiom must not be flagged
-    report = lint_source(tmp_path, (
-        "import time\n"
-        "def wait_for(path):\n"
-        "    deadline = time.monotonic() + 5.0\n"
-        "    while time.monotonic() < deadline:\n"
-        "        if path.exists():\n"
-        "            return True\n"
-        "    return False\n"
-    ))
-    assert "IPC002" not in rule_ids(report)
-
-
-def test_ipc003_claim_publish_without_readback_fires(tmp_path):
-    report = lint_source(tmp_path, (
-        "def try_claim(claim_path, payload):\n"
-        "    claim_path.write_text(payload)\n"
-        "    return True\n"
-    ), select=["IPC003"])
-    assert rule_ids(report) == ["IPC003"]
-
-
-def test_ipc003_publish_then_readback_silent(tmp_path):
-    report = lint_source(tmp_path, (
-        "def try_claim(claim_path, payload, me):\n"
-        "    claim_path.write_text(payload)\n"
-        "    return read_claim(claim_path) == me\n"
-        "def read_claim(claim_path):\n"
-        "    return claim_path.read_text()\n"
-    ), select=["IPC003"])
-    assert rule_ids(report) == []
 
 
 # ----------------------------------------------------------------------

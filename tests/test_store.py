@@ -1,17 +1,26 @@
-"""FingerprintStore tests: round-trips, index rebuild, crash debris, and
-hypothesis property tests for concurrent writers racing on overlapping
-spec lists (ISSUE 7 satellite: the store's durability contract)."""
+"""FingerprintStore tests: round-trips, index rebuild, crash debris,
+injected I/O faults (ENOSPC, EIO, short writes, claim races, lease clock
+jumps), and hypothesis property tests for concurrent writers racing on
+overlapping spec lists: the store's durability contract."""
 
 from __future__ import annotations
 
+import concurrent.futures
+import errno
 import json
+import os
+import pickle
 import tempfile
 from pathlib import Path
+from typing import Callable, Optional
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.energy.model import EnergyBreakdown
+from repro.sim import campaign
+from repro.sim import store as store_mod
 from repro.sim.driver import RunResult, run
 from repro.sim.options import ExecOptions
 from repro.sim.spec import RunSpec
@@ -261,11 +270,8 @@ class TestCompaction:
         spec = RunSpec("ssmc", "count", n_records=N)
         store.put(spec, make_result(spec))
         # debris: crashed atomic writes, an expired claim, empty segment
-        # (fixed temp names ARE the debris being tested; docs/linting.md)
-        (tmp_path / "index.json.tmp-999-dead").write_text(  # repro-lint: disable=FS003
-            "{")
-        (tmp_path / "manifests" / "c.json.tmp-999-dead").write_text(  # repro-lint: disable=FS003
-            "{")
+        (tmp_path / "index.json.tmp-999-dead").write_text("{")
+        (tmp_path / "manifests" / "c.json.tmp-999-dead").write_text("{")
         (tmp_path / "log" / "w999-dead.jsonl").write_text("")
         assert store.try_claim("a" * 64, lease_s=0.01)
         assert store.try_claim("b" * 64, lease_s=60.0)  # live: kept
@@ -278,6 +284,286 @@ class TestCompaction:
         assert store.claim_holder("b" * 64) == store.writer_id
         assert store.get_spec(spec) is not None
         assert not list(tmp_path.glob("*.tmp-*"))
+
+
+# ----------------------------------------------------------------------
+# injected I/O faults
+# ----------------------------------------------------------------------
+def oserror(code: int) -> OSError:
+    return OSError(code, os.strerror(code))
+
+
+class _LoggedFile:
+    """A file opened for writing whose ``write``/``flush`` calls are
+    logged; ``fail(path)`` may turn a write into a short write followed
+    by the returned error."""
+
+    def __init__(self, f, path: Path, log: list,
+                 fail: Callable[[Path], Optional[OSError]]):
+        self._f, self._path, self._log, self._fail = f, path, log, fail
+
+    def write(self, data):
+        self._log.append(("write", self._path))
+        exc = self._fail(self._path)
+        if exc is not None:
+            self._f.write(data[:len(data) // 2])
+            self._f.flush()
+            raise exc
+        return self._f.write(data)
+
+    def flush(self):
+        self._log.append(("flush", self._path))
+        self._f.flush()
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def record_io(monkeypatch, fail=lambda path: None) -> list:
+    """Log the store's write-side I/O in call order: ``("write", path)``
+    and ``("flush", path)`` on files opened for writing, ``("fsync",)``
+    and ``("replace", src, dst)``.  ``fail(path)`` returns the error a
+    write to ``path`` raises after a short write, or None."""
+    log: list = []
+    real_open, real_fsync, real_replace = Path.open, os.fsync, os.replace
+
+    def open_(self, mode="r", *args, **kwargs):
+        f = real_open(self, mode, *args, **kwargs)
+        return f if mode.strip("bt") == "r" else _LoggedFile(f, self, log,
+                                                              fail)
+
+    def fsync(fd):
+        log.append(("fsync",))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        log.append(("replace", Path(src), Path(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(Path, "open", open_)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return log
+
+
+def _ops(log: list) -> list[str]:
+    """The logged operation names, repeated writes to one file once."""
+    return [entry[0] for i, entry in enumerate(log)
+            if i == 0 or entry != log[i - 1]]
+
+
+def _two_writer_store(root) -> tuple[FingerprintStore, list[RunSpec]]:
+    """A store with two segments (so compaction has work) and a manifest."""
+    specs = [RunSpec("ssmc", "count", n_records=N, seed=s) for s in (0, 1)]
+    for spec in specs:
+        with FingerprintStore(root) as writer:
+            writer.put(spec, make_result(spec))
+    store = FingerprintStore(root)
+    store.write_manifest("c", specs)
+    return store, specs
+
+
+class TestStoreFaults:
+    @pytest.mark.parametrize("fault", ["fsync-eio", "write-enospc"])
+    def test_failed_publish_leaves_live_files_intact(self, tmp_path,
+                                                     monkeypatch, fault):
+        """A publish that fails midway changes no live file: index,
+        manifest and claim keep their bytes, compaction retires nothing,
+        reopening serves every record and gc() sweeps the temp debris."""
+        store, specs = _two_writer_store(tmp_path)
+        fp = "c" * 64
+        assert store.try_claim(fp)
+        store.write_index()
+        live = {path: path.read_bytes() for path in (
+            tmp_path / "index.json", store.manifest_path("c"),
+            store.claim_path(fp))}
+        segments = store.segments()
+        publishers = [
+            (store.write_index, tmp_path / "index.json"),
+            (lambda: store.write_manifest("c", specs[:1]),
+             store.manifest_path("c")),
+            (lambda: store.try_claim(fp), store.claim_path(fp)),
+            (store.compact, store.log_dir),
+        ]
+        with monkeypatch.context() as m:
+            if fault == "fsync-eio":
+                m.setattr(os, "fsync", lambda fd: (_ for _ in ()).throw(
+                    oserror(errno.EIO)))
+            else:
+                record_io(m, fail=lambda path: oserror(errno.ENOSPC))
+            for publish, names in publishers:
+                with pytest.raises(OSError, match="cannot publish") as info:
+                    publish()
+                assert str(names) in str(info.value)
+        assert {path: path.read_bytes() for path in live} == live
+        assert store.segments() == segments
+        fresh = FingerprintStore(tmp_path)
+        for spec in specs:
+            assert canonical_result_blob(fresh.get_spec(spec)) == \
+                canonical_result_blob(make_result(spec))
+        assert fresh.claim_holder(fp) == store.writer_id
+        assert fresh.gc()["tmp_files_removed"] == len(publishers)
+        assert not list(tmp_path.rglob("*.tmp-*"))
+
+    def test_every_publisher_writes_flushes_fsyncs_then_replaces(
+            self, tmp_path, monkeypatch):
+        """Index, manifest, claim and compaction each stage a temp file,
+        flush and fsync it, and only then replace the live name; a record
+        append is one write plus a flush."""
+        store, specs = _two_writer_store(tmp_path)
+        log = record_io(monkeypatch)
+        spec = RunSpec("gpgpu", "count", n_records=N)
+        publishers = [
+            (store.write_index, 1),
+            (lambda: store.write_manifest("c", specs), 1),
+            (lambda: store.try_claim("f" * 64), 1),
+            (store.compact, 2),  # the compacted segment, then the index
+        ]
+        for publish, count in publishers:
+            log.clear()
+            publish()
+            assert _ops(log) == ["write", "flush", "fsync", "replace"] * count
+            for i, entry in enumerate(log):
+                if entry[0] == "replace":
+                    staged, live = entry[1], entry[2]
+                    assert log[i - 2] == ("flush", staged)
+                    assert staged != live and staged.parent == live.parent
+        first = next(entry for entry in log if entry[0] == "replace")
+        assert first[2].suffix == ".jsonl"  # compaction's segment
+        log.clear()
+        store.put(spec, make_result(spec))
+        assert _ops(log) == ["write", "flush"]
+
+    def test_two_writers_stage_to_distinct_temp_names(self, tmp_path,
+                                                      monkeypatch):
+        a, b = FingerprintStore(tmp_path), FingerprintStore(tmp_path)
+        log = record_io(monkeypatch)
+        fp = "d" * 64
+        for writer in (a, b):
+            writer.write_index()
+            writer.write_manifest("c", [])
+            assert writer.try_claim(fp)
+            writer.release_claim(fp)
+        staged: dict[Path, set[Path]] = {}
+        for entry in log:
+            if entry[0] == "replace":
+                staged.setdefault(entry[2], set()).add(entry[1])
+        assert len(staged) == 3
+        assert all(len(temps) == 2 for temps in staged.values())
+
+    def test_claim_lost_between_publish_and_readback(self, tmp_path,
+                                                     monkeypatch):
+        """B checked for a holder before A's claim landed and publishes
+        right after it: the read-back, not A's own check, decides that B
+        holds the lease."""
+        a, b = FingerprintStore(tmp_path), FingerprintStore(tmp_path)
+        fp = "e" * 64
+        real_replace = os.replace
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            if Path(dst) == a.claim_path(fp):
+                monkeypatch.setattr(os, "replace", real_replace)
+                monkeypatch.setattr(b, "claim_holder", lambda fp: None)
+                assert b.try_claim(fp)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert not a.try_claim(fp)
+        assert a.claim_holder(fp) == b.writer_id
+
+    def test_lease_runs_on_the_wall_clock(self, tmp_path, monkeypatch):
+        """Lease deadlines are wall-clock (``time.time``) so any process
+        or host can read them: a jump past the expiry frees the lease, a
+        jump backwards keeps it with its holder."""
+        clock = [1.0e9]
+        monkeypatch.setattr(store_mod.time, "time", lambda: clock[0])
+        a, b = FingerprintStore(tmp_path), FingerprintStore(tmp_path)
+        fp = "f" * 64
+        assert a.try_claim(fp, lease_s=30.0)
+        assert a.read_claim(fp)["expires_unix"] - clock[0] == \
+            pytest.approx(30.0)
+        clock[0] -= 3600.0
+        assert not b.try_claim(fp)
+        assert b.claim_holder(fp) == a.writer_id
+        clock[0] += 3600.0 + 31.0
+        assert a.claim_holder(fp) is None
+        assert b.try_claim(fp)
+        assert a.claim_holder(fp) == b.writer_id
+
+    def test_failed_append_never_glues_the_next_record_on(self, tmp_path,
+                                                          monkeypatch):
+        """A short write then ENOSPC tears B's line.  C, put after it,
+        must survive a reopen instead of being appended onto the torn
+        bytes as one corrupt line."""
+        a, b, c = (RunSpec("ssmc", "count", n_records=N, seed=s)
+                   for s in range(3))
+        faults = iter([None, oserror(errno.ENOSPC)])  # B's write is torn
+        store = FingerprintStore(tmp_path)
+        record_io(monkeypatch, fail=lambda path: next(faults, None))
+        store.put(a, make_result(a))
+        with pytest.raises(OSError) as info:
+            store.put(b, make_result(b))
+        store.put(c, make_result(c))
+        store.close()
+        fresh = FingerprintStore(tmp_path)
+        for _ in range(2):  # as reopened, then rebuilt from the log alone
+            assert fresh.corrupt_lines == 0
+            assert fresh.fingerprints() == {a.content_hash(),
+                                            c.content_hash()}
+            assert canonical_result_blob(fresh.get_spec(c)) == \
+                canonical_result_blob(make_result(c))
+            fresh.rebuild_index()
+        assert b.content_hash() in str(info.value)
+
+
+class TestPerProcessStore:
+    def test_store_refuses_to_pickle(self, tmp_path):
+        """A pickled copy would share the writer id, so two processes
+        would sign claims and name segments as one writer."""
+        store = FingerprintStore(tmp_path)
+        with pytest.raises(TypeError, match=str(tmp_path)):
+            pickle.dumps(store)
+
+    def test_pool_tasks_carry_only_specs(self, tmp_path, monkeypatch):
+        """What the campaign loop submits to its process pool pickles,
+        and carries specs, never the parent's store."""
+        tasks: list = []
+
+        class InlinePool:
+            """Pickles each task like a process pool, runs it inline."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fn, args = pickle.loads(pickle.dumps((fn, args)))
+                tasks.append((fn, args))
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        monkeypatch.setattr(campaign, "_run_with_memo",
+                            lambda spec, memo: make_result(spec))
+        specs = [RunSpec("ssmc", "count", n_records=N, seed=s)
+                 for s in range(3)]
+        report = campaign.run_campaign(specs, tmp_path, workers=2,
+                                       shard=(1, 1))
+        assert report.misses == len(specs)
+        assert tasks == [(campaign._pool_run, (spec,)) for spec in specs]
 
 
 # ----------------------------------------------------------------------

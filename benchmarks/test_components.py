@@ -14,7 +14,7 @@ from repro.config import SystemConfig
 from repro.dram.controller import MemoryController
 from repro.engine.events import Engine
 from repro.engine.stats import Stats
-from repro.isa.executor import ThreadContext, step_one
+from repro.isa.executor import trace_threads
 from repro.isa.program import Program
 from repro.layout.interleaved import InterleavedLayout
 
@@ -34,13 +34,8 @@ def test_interpreter_throughput(benchmark):
     """)
 
     def interpret():
-        ctx = ThreadContext(0)
-        instrs = prog.instrs
-        count = 0
-        while not ctx.halted:
-            step_one(ctx, instrs[ctx.pc])
-            count += 1
-        return count
+        plan = trace_threads(prog, lambda addr: 0.0, [{}], 32, 1)
+        return plan.traces[0].total_issues
 
     count = benchmark(interpret)
     assert count > 1_000_000

@@ -5,6 +5,12 @@ unmodified on Millipede (MIMD corelets), plain SSMC (MIMD cores), GPGPU /
 VWS (SIMT warps with divergence stacks) and the conventional multicore; only
 the memory system and the instruction scheduling differ between models,
 which is exactly the experimental isolation the paper's section V demands.
+
+Two producers compute a kernel's functional trajectory:
+:mod:`repro.isa.executor` decodes each instruction once into a closure
+(the one copy of the scalar semantics) and walks threads or warps over
+them (the ``reference`` backend); :mod:`repro.isa.vector` runs all threads
+as NumPy column ops (the ``vector`` backend).
 """
 
 from repro.isa.instructions import (
@@ -18,7 +24,6 @@ from repro.isa.instructions import (
 )
 from repro.isa.assembler import assemble, AssemblyError
 from repro.isa.program import Program
-from repro.isa.executor import ThreadContext, MemAccess, step_one, branch_taken, exec_non_memory
 
 __all__ = [
     "Instr",
@@ -31,9 +36,4 @@ __all__ = [
     "assemble",
     "AssemblyError",
     "Program",
-    "ThreadContext",
-    "MemAccess",
-    "step_one",
-    "branch_taken",
-    "exec_non_memory",
 ]

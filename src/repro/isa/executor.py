@@ -1,20 +1,19 @@
-"""Per-thread interpreter and the ``reference`` backend's trace producers.
+"""Instruction decoder and the ``reference`` backend's trace producers.
 
-Every instruction of the ``reference`` backend passes through
-:func:`step_one`, so it follows the HPC-Python guidance for inner loops:
-flat ``if/elif`` dispatch on integer opcodes, ``__slots__`` contexts,
-locals bound once, and no allocation on the common (ALU) path.
+:func:`decode` turns a :class:`~repro.isa.program.Program` into one
+entry per instruction, once per call of a producer.  It holds the only
+copy of the scalar semantics: an ALU opcode becomes a closure over its
+``rd/rs/rt/imm`` that updates a register list, a conditional branch a
+closure that returns its condition.  Memory and control opcodes keep
+plain int fields, which the walkers resolve themselves.
 
-:func:`step_one` is architecture-agnostic: memory instructions are *not*
-performed there - they are returned as :class:`MemAccess` descriptors and
-the caller decides how to resolve them.  The program counter is advanced
-at issue time.  :func:`trace_threads` is that caller for the MIMD cores:
-it walks each thread to completion, resolving loads from global memory
-and the thread's live-state partition, and records the same
-:class:`~repro.isa.vector.VectorPlan` the NumPy executor produces.
-:func:`trace_warps` is the SIMT counterpart: it walks each warp under its
-PDOM reconvergence stack with :func:`branch_taken` and
-:func:`exec_non_memory` and records the
+:func:`trace_threads` runs the MIMD threads, one flat loop per thread
+with the program counter, registers, issue gap and counters in locals,
+resolving loads from global memory and the thread's live-state
+partition; it records the :class:`~repro.isa.vector.VectorPlan` the
+NumPy executor produces.  :func:`trace_warps` is the SIMT counterpart:
+it walks each warp under its PDOM reconvergence stack, calls the same
+closures over the active lanes, and records the
 :class:`~repro.isa.vector.SimtPlan` of
 :func:`repro.isa.vector.execute_simt`.
 """
@@ -26,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.isa.instructions import Instr, Op
+from repro.isa.instructions import Op
 from repro.isa.program import Program
 from repro.isa.vector import (K_BAR, K_HALT, K_LDG, SimtPlan, ThreadTrace,
                               VectorPlan, WarpTrace)
@@ -45,198 +44,141 @@ _BEQZ = int(Op.BEQZ); _BNEZ = int(Op.BNEZ); _J = int(Op.J)
 _LDG = int(Op.LDG); _STG = int(Op.STG); _LDL = int(Op.LDL); _STL = int(Op.STL)
 _HALT = int(Op.HALT); _NOP = int(Op.NOP); _BAR = int(Op.BAR)
 
-
-class MemAccess:
-    """A pending memory operation surfaced to the architecture model."""
-
-    __slots__ = ("op", "addr", "rd", "value", "is_store", "is_global")
-
-    def __init__(self, op: int, addr: int, rd: int, value: float, is_store: bool, is_global: bool):
-        self.op = op
-        self.addr = addr
-        self.rd = rd
-        self.value = value
-        self.is_store = is_store
-        self.is_global = is_global
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = ("stg" if self.is_global else "stl") if self.is_store else ("ldg" if self.is_global else "ldl")
-        return f"<MemAccess {kind} @{self.addr}>"
+#: decoded-entry kinds of the ALU and conditional-branch opcodes; every
+#: other entry's kind is its ``int(Op)``
+ALU = -1
+BRANCH = -2
 
 
-class ThreadContext:
-    """Architectural state of one hardware thread."""
-
-    __slots__ = ("tid", "regs", "pc", "halted", "branches", "taken_branches")
-
-    def __init__(self, tid: int, n_regs: int = 32):
-        self.tid = tid
-        self.regs: list[float] = [0] * n_regs
-        self.pc = 0
-        self.halted = False
-        self.branches = 0
-        self.taken_branches = 0
-
-    def set_args(self, args: dict[int, float]) -> None:
-        """Initialize argument registers (the kernel ABI)."""
-        for reg, val in args.items():
-            if reg == 0:
-                raise ValueError("r0 is hard-wired to zero")
-            self.regs[reg] = val
-
-    def commit_load(self, rd: int, value: float) -> None:
-        """Write back a load whose data just arrived."""
-        if rd:
-            self.regs[rd] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Thread {self.tid} pc={self.pc}{' halted' if self.halted else ''}>"
-
-
-def branch_taken(ctx: ThreadContext, ins: Instr) -> bool:
-    """Evaluate a conditional branch *without* committing the new PC
-    (needed by the SIMT models which apply divergence-stack policy)."""
-    regs = ctx.regs
-    op = ins.op
-    if op == _BEQ:
-        return regs[ins.rs] == regs[ins.rt]
-    if op == _BNE:
-        return regs[ins.rs] != regs[ins.rt]
-    if op == _BLT:
-        return regs[ins.rs] < regs[ins.rt]
-    if op == _BGE:
-        return regs[ins.rs] >= regs[ins.rt]
-    if op == _BEQZ:
-        return regs[ins.rs] == 0
-    if op == _BNEZ:
-        return regs[ins.rs] != 0
-    raise ValueError(f"not a conditional branch: {ins.text}")
-
-
-def exec_non_memory(ctx: ThreadContext, ins: Instr) -> None:
-    """Execute one ALU / control instruction.
-
-    Used directly by :func:`trace_warps` for the active lanes of a warp;
-    MIMD threads go through :func:`step_one`, which also classifies
-    memory operations.
-    """
-    regs = ctx.regs
-    op = ins.op
-    rd = ins.rd
-
+def _alu(op: int, d: int, s: int, t: int, i) -> Callable[[list], None]:
+    """The closure that executes one ALU instruction on a register list."""
     if op == _ADD:
-        v = regs[ins.rs] + regs[ins.rt]
+        def f(r): r[d] = r[s] + r[t]
     elif op == _ADDI:
-        v = regs[ins.rs] + ins.imm
+        def f(r): r[d] = r[s] + i
     elif op == _SUB:
-        v = regs[ins.rs] - regs[ins.rt]
+        def f(r): r[d] = r[s] - r[t]
     elif op == _MUL:
-        v = regs[ins.rs] * regs[ins.rt]
+        def f(r): r[d] = r[s] * r[t]
     elif op == _MULI:
-        v = regs[ins.rs] * ins.imm
+        def f(r): r[d] = r[s] * i
     elif op == _LI:
-        v = ins.imm
+        def f(r): r[d] = i
     elif op == _MOV:
-        v = regs[ins.rs]
+        def f(r): r[d] = r[s]
     elif op == _SLT:
-        v = 1 if regs[ins.rs] < regs[ins.rt] else 0
+        def f(r): r[d] = 1 if r[s] < r[t] else 0
     elif op == _SLTI:
-        v = 1 if regs[ins.rs] < ins.imm else 0
+        def f(r): r[d] = 1 if r[s] < i else 0
     elif op == _SLE:
-        v = 1 if regs[ins.rs] <= regs[ins.rt] else 0
+        def f(r): r[d] = 1 if r[s] <= r[t] else 0
     elif op == _SEQ:
-        v = 1 if regs[ins.rs] == regs[ins.rt] else 0
+        def f(r): r[d] = 1 if r[s] == r[t] else 0
     elif op == _SNE:
-        v = 1 if regs[ins.rs] != regs[ins.rt] else 0
+        def f(r): r[d] = 1 if r[s] != r[t] else 0
     elif op == _DIV:
-        v = regs[ins.rs] / regs[ins.rt]
+        def f(r): r[d] = r[s] / r[t]
     elif op == _MIN:
-        a, b = regs[ins.rs], regs[ins.rt]
-        v = a if a < b else b
+        def f(r): r[d] = r[s] if r[s] < r[t] else r[t]
     elif op == _MAX:
-        a, b = regs[ins.rs], regs[ins.rt]
-        v = a if a > b else b
+        def f(r): r[d] = r[s] if r[s] > r[t] else r[t]
     elif op == _ABS:
-        v = abs(regs[ins.rs])
+        def f(r): r[d] = abs(r[s])
     elif op == _NEG:
-        v = -regs[ins.rs]
+        def f(r): r[d] = -r[s]
     elif op == _SQRT:
-        v = math.sqrt(regs[ins.rs])
+        def f(r): r[d] = math.sqrt(r[s])
     elif op == _TRUNC:
-        v = int(regs[ins.rs])
+        def f(r): r[d] = int(r[s])
     elif op == _IDIV:
-        v = int(regs[ins.rs]) // int(regs[ins.rt])
+        def f(r): r[d] = int(r[s]) // int(r[t])
     elif op == _REM:
-        v = int(regs[ins.rs]) % int(regs[ins.rt])
+        def f(r): r[d] = int(r[s]) % int(r[t])
     elif op == _AND:
-        v = int(regs[ins.rs]) & int(regs[ins.rt])
+        def f(r): r[d] = int(r[s]) & int(r[t])
     elif op == _ANDI:
-        v = int(regs[ins.rs]) & int(ins.imm)
+        def f(r): r[d] = int(r[s]) & int(i)
     elif op == _OR:
-        v = int(regs[ins.rs]) | int(regs[ins.rt])
+        def f(r): r[d] = int(r[s]) | int(r[t])
     elif op == _XOR:
-        v = int(regs[ins.rs]) ^ int(regs[ins.rt])
+        def f(r): r[d] = int(r[s]) ^ int(r[t])
     elif op == _SLL:
-        v = int(regs[ins.rs]) << int(regs[ins.rt])
+        def f(r): r[d] = int(r[s]) << int(r[t])
     elif op == _SRL:
-        v = int(regs[ins.rs]) >> int(regs[ins.rt])
-    elif op == _NOP or op == _BAR:
-        # SIMT warps are implicitly synchronized; BAR is a NOP for them
-        ctx.pc += 1
-        return
-    elif op == _J:
-        ctx.pc = ins.target
-        return
-    elif op == _HALT:
-        ctx.halted = True
-        return
-    elif _BEQ <= op <= _BNEZ:
-        ctx.branches += 1
-        if branch_taken(ctx, ins):
-            ctx.taken_branches += 1
-            ctx.pc = ins.target
-        else:
-            ctx.pc += 1
-        return
+        def f(r): r[d] = int(r[s]) >> int(r[t])
     else:
-        raise ValueError(f"exec_non_memory cannot execute {ins.text}")
+        raise ValueError(f"not an ALU opcode: {op}")
+    if d:
+        return f
 
-    if rd:
-        regs[rd] = v
-    ctx.pc += 1
+    def to_r0(r):  # evaluated (so it still raises), never kept
+        f(r)
+        r[0] = 0
+    return to_r0
 
 
-def step_one(ctx: ThreadContext, ins: Instr) -> Optional[MemAccess]:
-    """Execute the instruction at ``ctx.pc`` for a MIMD thread.
+def _condition(op: int, s: int, t: int) -> Callable[[list], bool]:
+    """The closure that evaluates one conditional branch's condition."""
+    if op == _BEQ:
+        return lambda r: r[s] == r[t]
+    if op == _BNE:
+        return lambda r: r[s] != r[t]
+    if op == _BLT:
+        return lambda r: r[s] < r[t]
+    if op == _BGE:
+        return lambda r: r[s] >= r[t]
+    if op == _BEQZ:
+        return lambda r: r[s] == 0
+    return lambda r: r[s] != 0  # BNEZ
 
-    Returns ``None`` for completed instructions (including ``halt``, which
-    sets ``ctx.halted``), or a :class:`MemAccess` whose latency/data the
-    caller must resolve.  For memory ops the PC is advanced here, register
-    write-back for loads happens via :meth:`ThreadContext.commit_load`.
+
+def decode(program: Program) -> list[tuple]:
+    """One ``(kind, fn, a, b, c)`` entry per instruction, by pc.
+
+    ====================  ======================================
+    ``kind``              ``fn``, ``a``, ``b``, ``c``
+    ====================  ======================================
+    :data:`ALU`           ``fn(regs)`` executes it; 0, 0, 0
+    :data:`BRANCH`        ``fn(regs)`` is its condition; target,
+                          reconvergence pc (program length when
+                          none), 0
+    ``Op.LDG``/``LDL``    None; ``rd``, ``rs``, ``imm``
+    ``Op.STL``            None; ``rs`` (value), ``rt``, ``imm``
+    ``Op.J``              None; target, 0, 0
+    ``Op.HALT``/``NOP``/  None; 0, 0, 0
+    ``BAR``/``STG``
+    ====================  ======================================
     """
-    op = ins.op
-    if op == _BAR:
-        # surfaced to the (MIMD) core, which implements the rendezvous
-        ctx.pc += 1
-        return MemAccess(op, -1, 0, 0.0, False, False)
-    if op < _LDG or op > _STL:
-        # every non-memory opcode: ALU, comparisons, branches, J, halt, nop
-        exec_non_memory(ctx, ins)
-        return None
-    # memory instruction
-    regs = ctx.regs
-    if op == _LDG:
-        acc = MemAccess(op, int(regs[ins.rs] + ins.imm), ins.rd, 0.0, False, True)
-    elif op == _LDL:
-        acc = MemAccess(op, int(regs[ins.rs] + ins.imm), ins.rd, 0.0, False, False)
-    elif op == _STL:
-        acc = MemAccess(op, int(regs[ins.rt] + ins.imm), 0, regs[ins.rs], True, False)
-    elif op == _STG:
-        acc = MemAccess(op, int(regs[ins.rt] + ins.imm), 0, regs[ins.rs], True, True)
-    else:  # pragma: no cover - unreachable given opcode ranges
-        raise ValueError(f"unhandled opcode {op}")
-    ctx.pc += 1
-    return acc
+    plen = len(program.instrs)
+    code = []
+    for ins in program.instrs:
+        op = int(ins.op)
+        if op <= _ANDI:
+            code.append((ALU, _alu(op, ins.rd, ins.rs, ins.rt, ins.imm), 0, 0, 0))
+        elif op <= _BNEZ:
+            reconv = plen if ins.reconv is None else ins.reconv
+            code.append((BRANCH, _condition(op, ins.rs, ins.rt), ins.target,
+                         reconv, 0))
+        elif op == _LDG or op == _LDL:
+            code.append((op, None, ins.rd, ins.rs, ins.imm))
+        elif op == _STL:
+            code.append((op, None, ins.rs, ins.rt, ins.imm))
+        elif op == _J:
+            code.append((op, None, ins.target, 0, 0))
+        else:
+            code.append((op, None, 0, 0, 0))
+    return code
+
+
+def _registers(args: dict[int, float], n_regs: int) -> list:
+    """A thread's register file with its argument registers set (the
+    kernel ABI)."""
+    regs: list = [0] * n_regs
+    for reg, val in args.items():
+        if reg == 0:
+            raise ValueError("r0 is hard-wired to zero")
+        regs[reg] = val
+    return regs
 
 
 _NO_STG = ("BMLA Map kernels do not store to global memory (outputs live "
@@ -256,15 +198,16 @@ def trace_threads(
     state_words: int,
     initial_state: Optional[np.ndarray] = None,
 ) -> VectorPlan:
-    """Run every MIMD thread to completion with :func:`step_one`; return
-    the replay plan :func:`repro.isa.vector.execute` would build.
+    """Run every MIMD thread to completion over the :func:`decode`
+    entries; return the replay plan :func:`repro.isa.vector.execute`
+    would build.
 
     Threads share no mutable state, so walking them one after another is
     exact.  ``read_word`` is the global memory's range-checked word read;
     ``thread_args`` is in global thread order, and thread ``g`` owns row
     ``g`` of the ``[T, state_words]`` live-state matrix.
     """
-    instrs = program.instrs
+    code = decode(program)
     T = len(thread_args)
     local = np.zeros((T, state_words), dtype=np.float64)
     if initial_state is not None:
@@ -272,48 +215,62 @@ def trace_threads(
     traces = []
     branches, taken, reads, writes = ([0] * T for _ in range(4))
     for g, args in enumerate(thread_args):
-        ctx = ThreadContext(g, n_regs)
-        ctx.set_args(args)
+        regs = _registers(args, n_regs)
         mem = local[g].tolist()
         tr = ThreadTrace()
-        gap = n_reads = n_writes = 0
+        gaps, kinds, addrs = tr.gaps, tr.kinds, tr.addrs
+        pc = gap = n_br = n_taken = n_reads = n_writes = 0
         while True:
-            acc = step_one(ctx, instrs[ctx.pc])
-            if acc is None:
-                if ctx.halted:
-                    tr.gaps.append(gap)
-                    tr.kinds.append(K_HALT)
-                    tr.addrs.append(-1)
-                    break
-                gap += 1
-            elif acc.op == _BAR:
-                tr.gaps.append(gap)
-                tr.kinds.append(K_BAR)
-                tr.addrs.append(-1)
-                gap = 0
-            elif acc.is_global:
-                if acc.is_store:
-                    raise NotImplementedError(_NO_STG)
-                ctx.commit_load(acc.rd, read_word(acc.addr))
-                tr.gaps.append(gap)
-                tr.kinds.append(K_LDG)
-                tr.addrs.append(acc.addr)
-                gap = 0
-            else:
-                addr = acc.addr
+            kind, f, a, b, c = code[pc]
+            pc += 1
+            gap += 1  # this issue; an event records the gap before it
+            if kind == ALU:
+                f(regs)
+            elif kind == _LDL:
+                addr = int(regs[b] + c)
                 if not 0 <= addr < state_words:
                     raise _partition_error(g, addr, state_words)
-                if acc.is_store:
-                    mem[addr] = float(acc.value)  # as the float64 scratchpad holds it
-                    n_writes += 1
-                else:
-                    ctx.commit_load(acc.rd, mem[addr])
-                    n_reads += 1
-                gap += 1
+                if a:
+                    regs[a] = mem[addr]
+                n_reads += 1
+            elif kind == _STL:
+                addr = int(regs[b] + c)
+                if not 0 <= addr < state_words:
+                    raise _partition_error(g, addr, state_words)
+                mem[addr] = float(regs[a])  # as the float64 scratchpad holds it
+                n_writes += 1
+            elif kind == _LDG:
+                addr = int(regs[b] + c)
+                value = read_word(addr)
+                if a:
+                    regs[a] = value
+                gaps.append(gap - 1)
+                kinds.append(K_LDG)
+                addrs.append(addr)
+                gap = 0
+            elif kind == BRANCH:
+                n_br += 1
+                if f(regs):
+                    n_taken += 1
+                    pc = a
+            elif kind == _J:
+                pc = a
+            elif kind == _HALT:
+                gaps.append(gap - 1)
+                kinds.append(K_HALT)
+                addrs.append(-1)
+                break
+            elif kind == _BAR:
+                gaps.append(gap - 1)
+                kinds.append(K_BAR)
+                addrs.append(-1)
+                gap = 0
+            elif kind == _STG:
+                raise NotImplementedError(_NO_STG)
         traces.append(tr)
         local[g] = mem
-        branches[g] = ctx.branches
-        taken[g] = ctx.taken_branches
+        branches[g] = n_br
+        taken[g] = n_taken
         reads[g] = n_reads
         writes[g] = n_writes
     return VectorPlan(
@@ -349,123 +306,135 @@ def trace_warps(
     T = len(thread_args)
     if T % width:
         raise ValueError(f"{T} threads not divisible by {width}-wide warps")
-    instrs = program.instrs
-    plen = len(instrs)
+    code = decode(program)
+    plen = len(code)
     full = (1 << width) - 1
     local = np.zeros((T, state_words), dtype=np.float64)
     if initial_state is not None:
         local[:, : len(initial_state)] = initial_state
     traces = []
-    instr_count, reads, writes = ([0] * T for _ in range(3))
-    branches, taken = [], []
-    issues = active_slots = divergent = uniform = shared = 0
+    instr_count, branches, taken, reads, writes = [], [], [], [], []
+    issues = divergent = uniform = 0
     for w in range(T // width):
         base = w * width
-        lanes = [ThreadContext(base + l, n_regs) for l in range(width)]
-        for ctx in lanes:
-            ctx.set_args(thread_args[ctx.tid])
+        lanes = [_registers(thread_args[base + l], n_regs)
+                 for l in range(width)]
         mem = local[base : base + width].tolist()
+        # per-lane counters; issues, branches and local accesses under the
+        # current mask accumulate in run/n_br/n_reads/n_writes and are
+        # credited to its active lanes when the mask changes
+        l_instr, l_br, l_taken, l_reads, l_writes = (
+            [0] * width for _ in range(5))
         tr = WarpTrace()
-        stack = [[plen, 0, full]]
-        mask = -1
-        active: list[int] = []
-        run = gap = 0  # issues under the current mask; pure issues
+        gaps, kinds, payloads, tmasks = tr.gaps, tr.kinds, tr.payloads, tr.tmasks
+        top = [plen, 0, full]
+        stack = [top]
+        mask = 0
+        active: list[tuple] = []  # (lane, registers, live state) per active lane
+        act: list[list] = []  # the active lanes' registers
+        run = gap = n_br = n_reads = n_writes = 0
         while True:
-            top = stack[-1]
             if top[2] != mask:
-                for l in active:
-                    instr_count[base + l] += run
+                for l, _, _ in active:
+                    l_instr[l] += run
+                    l_br[l] += n_br
+                    l_reads[l] += n_reads
+                    l_writes[l] += n_writes
                 issues += run
-                active_slots += run * len(active)
                 mask = top[2]
-                active = [l for l in range(width) if mask >> l & 1]
-                run = 0
+                active = [(l, lanes[l], mem[l]) for l in range(width)
+                          if mask >> l & 1]
+                act = [r for _, r, _ in active]
+                run = n_br = n_reads = n_writes = 0
             run += 1
+            gap += 1  # this issue; an event records the gap before it
             pc = top[1]
-            ins = instrs[pc]
-            op = ins.op
-            if _BEQ <= op <= _BNEZ:
-                tm = 0
-                for l in active:
-                    ctx = lanes[l]
-                    ctx.branches += 1
-                    if branch_taken(ctx, ins):
-                        ctx.taken_branches += 1
-                        tm |= 1 << l
-                tr.tmasks.append(tm)
-                if tm == mask or tm == 0:
-                    uniform += 1
-                    top[1] = ins.target if tm else pc + 1
-                else:
-                    divergent += 1
-                    r = ins.reconv if ins.reconv is not None else plen
-                    top[1] = r  # this frame becomes the reconvergence point
-                    stack.append([r, pc + 1, mask & ~tm])
-                    stack.append([r, ins.target, tm])
-                gap += 1
-            elif op == _LDL or op == _STL:
-                load = op == _LDL
-                ra = ins.rs if load else ins.rt
-                for l in active:
-                    ctx = lanes[l]
-                    addr = int(ctx.regs[ra] + ins.imm)
+            kind, f, a, b, c = code[pc]
+            top[1] = pc + 1
+            if kind == ALU:
+                for r in act:
+                    f(r)
+            elif kind == _LDL:
+                for l, r, m in active:
+                    addr = int(r[b] + c)
                     if not 0 <= addr < state_words:
                         raise _partition_error(base + l, addr, state_words)
-                    if load:
-                        ctx.commit_load(ins.rd, mem[l][addr])
-                        reads[base + l] += 1
-                    else:
-                        mem[l][addr] = float(ctx.regs[ins.rs])
-                        writes[base + l] += 1
-                shared += len(active)
-                top[1] = pc + 1
-                gap += 1
-            elif op == _LDG:
+                    if a:
+                        r[a] = m[addr]
+                n_reads += 1
+            elif kind == _STL:
+                for l, r, m in active:
+                    addr = int(r[b] + c)
+                    if not 0 <= addr < state_words:
+                        raise _partition_error(base + l, addr, state_words)
+                    m[addr] = float(r[a])
+                n_writes += 1
+            elif kind == _LDG:
                 pairs = []
-                for l in active:
-                    ctx = lanes[l]
-                    addr = int(ctx.regs[ins.rs] + ins.imm)
-                    ctx.commit_load(ins.rd, read_word(addr))
+                for l, r, _ in active:
+                    addr = int(r[b] + c)
+                    value = read_word(addr)
+                    if a:
+                        r[a] = value
                     pairs.append((l, addr))
-                tr.gaps.append(gap)
-                tr.kinds.append(K_LDG)
-                tr.payloads.append((ins.rd, pairs))
-                top[1] = pc + 1
+                gaps.append(gap - 1)
+                kinds.append(K_LDG)
+                payloads.append((a, pairs))
                 gap = 0
-            elif op == _HALT:
+            elif kind == BRANCH:
+                tm = 0
+                for l, r, _ in active:
+                    if f(r):
+                        l_taken[l] += 1
+                        tm |= 1 << l
+                n_br += 1
+                tmasks.append(tm)
+                if tm == mask or tm == 0:
+                    uniform += 1
+                    if tm:
+                        top[1] = a
+                else:
+                    divergent += 1
+                    top[1] = b  # this frame becomes the reconvergence point
+                    stack.append([b, pc + 1, mask & ~tm])
+                    top = [b, a, tm]
+                    stack.append(top)
+            elif kind == _J:
+                top[1] = a
+            elif kind == _HALT:
                 if mask != full:
                     raise AssertionError(
                         f"warp {w} executed halt with divergent mask "
                         f"{mask:0{width}b}; kernels must exit uniformly"
                     )
-                for l in active:
-                    instr_count[base + l] += run
+                for l, _, _ in active:
+                    l_instr[l] += run
+                    l_br[l] += n_br
+                    l_reads[l] += n_reads
+                    l_writes[l] += n_writes
                 issues += run
-                active_slots += run * width
-                tr.gaps.append(gap)
-                tr.kinds.append(K_HALT)
-                tr.payloads.append(None)
+                gaps.append(gap - 1)
+                kinds.append(K_HALT)
+                payloads.append(None)
                 break
-            elif op == _STG:
+            elif kind == _STG:
                 raise NotImplementedError(_NO_STG)
-            elif op == _J:
-                top[1] = ins.target
-                gap += 1
-            else:  # ALU, nop, bar: every active lane, same next pc
-                for l in active:
-                    exec_non_memory(lanes[l], ins)
-                top[1] = pc + 1
-                gap += 1
-            while len(stack) > 1 and stack[-1][1] == stack[-1][0]:
+            if top[1] == top[0] and len(stack) > 1:  # reconverged
                 stack.pop()
+                while stack[-1][1] == stack[-1][0] and len(stack) > 1:
+                    stack.pop()
+                top = stack[-1]
         traces.append(tr)
         local[base : base + width] = mem
-        branches += [ctx.branches for ctx in lanes]
-        taken += [ctx.taken_branches for ctx in lanes]
+        for total, lane in ((instr_count, l_instr), (branches, l_br),
+                            (taken, l_taken), (reads, l_reads),
+                            (writes, l_writes)):
+            total += lane
 
     def counts(xs):
         return np.array(xs, dtype=np.int64)
 
+    active_slots = sum(instr_count)
     return SimtPlan(
         warp_traces=traces,
         local=local,
@@ -479,5 +448,5 @@ def trace_warps(
         divergence_idle_slots=issues * width - active_slots,
         divergent_branches=divergent,
         uniform_branches=uniform,
-        shared_accesses=shared,
+        shared_accesses=sum(reads) + sum(writes),
     )

@@ -190,6 +190,7 @@ def _execute_specs(
         get_workload(spec.workload)  # fail fast on unknown workloads
     results: dict[str, RunResult] = {}
     simulated: list[str] = []
+    held: set[str] = set()  # claims taken and not yet landed
 
     def land(fp: str, result: RunResult, cached: bool) -> None:
         results[fp] = result
@@ -199,6 +200,7 @@ def _execute_specs(
                 store.put(unique[fp], result)
                 if claims:
                     store.release_claim(fp)
+                    held.discard(fp)
         if progress is not None:
             progress(BatchProgress(unique[fp], result, cached, len(results),
                                    len(unique), len(results) - len(simulated)))
@@ -226,29 +228,36 @@ def _execute_specs(
             elif store.try_claim(fp, lease_s=lease_s,
                                  resimulate=not resume or unique[fp].trace):
                 pending.remove(fp)
+                held.add(fp)
                 return fp
             elif serve(fp):  # recorded while the claim was being taken
                 pending.remove(fp)
         return None
 
-    if workers <= 1:
-        memo: dict[tuple, BuiltWorkload] = {}
-        while (fp := take()) is not None:
-            land(fp, _run_with_memo(unique[fp], memo), cached=False)
-    elif pending:
-        # imported here: serial callers (the common case) skip its start-up
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    try:
+        if workers <= 1:
+            memo: dict[tuple, BuiltWorkload] = {}
+            while (fp := take()) is not None:
+                land(fp, _run_with_memo(unique[fp], memo), cached=False)
+        elif pending:
+            # imported here: serial callers (the common case) skip its start-up
+            from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                            wait)
 
-        with ProcessPoolExecutor(min(workers, len(pending))) as pool:
-            running: dict = {}
-            while True:
-                while len(running) < workers and (fp := take()) is not None:
-                    running[pool.submit(_pool_run, unique[fp])] = fp
-                if not running:
-                    break
-                finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    land(running.pop(future), future.result(), cached=False)
+            with ProcessPoolExecutor(min(workers, len(pending))) as pool:
+                running: dict = {}
+                while True:
+                    while len(running) < workers and (fp := take()) is not None:
+                        running[pool.submit(_pool_run, unique[fp])] = fp
+                    if not running:
+                        break
+                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        land(running.pop(future), future.result(), cached=False)
+    finally:
+        # a failed simulation or store write leaves its spec to other shards
+        for fp in sorted(held):
+            store.release_claim(fp)
     return results, simulated
 
 

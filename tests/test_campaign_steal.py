@@ -162,6 +162,46 @@ class TestClaims:
         with pytest.raises(OSError, match=SPECS[0].content_hash()):
             run_campaign(SPECS, tmp_path, shard=(1, 1))
 
+    def test_failed_append_releases_the_claim(self, monkeypatch, tmp_path):
+        """ENOSPC on the record segment stops shard 1/2 on its first spec.
+        Its claim goes with it, so shard 2/2, started right after, does
+        not wait out the lease: it simulates every spec."""
+        monkeypatch.setattr(campaign, "_run_with_memo", _synthetic_run)
+        disk_full = [True]
+        record_io(monkeypatch, fail=lambda path: (
+            oserror(errno.ENOSPC)
+            if disk_full[0] and path.parent.name == "log" else None))
+        with pytest.raises(OSError):
+            run_campaign(SPECS, tmp_path, shard=(1, 2))
+        store = FingerprintStore(tmp_path)
+        assert list(store.claim_dir.glob("*.json")) == []
+        disk_full[0] = False
+        report = run_campaign(SPECS, tmp_path, shard=(2, 2))
+        assert report.misses == len(SPECS)
+        assert report.missing(SPECS) == []
+
+    def test_failed_simulation_releases_the_claim(self, monkeypatch,
+                                                  tmp_path):
+        """A claimed spec whose simulation raises is released on the way
+        out; a rerun of the same shard simulates it."""
+        bad = SPECS[1]
+
+        def crash(spec, memo):
+            if spec == bad:
+                raise RuntimeError("simulation failed")
+            return make_result(spec)
+
+        monkeypatch.setattr(campaign, "_run_with_memo", crash)
+        with pytest.raises(RuntimeError, match="simulation failed"):
+            run_campaign(SPECS, tmp_path, shard=(1, 1))
+        store = FingerprintStore(tmp_path)
+        assert store.claim_holder(bad.content_hash()) is None
+        assert list(store.claim_dir.glob("*.json")) == []
+        monkeypatch.setattr(campaign, "_run_with_memo", _synthetic_run)
+        report = run_campaign(SPECS, tmp_path, shard=(1, 1))
+        assert report.missing(SPECS) == []
+        assert report.misses == len(SPECS) - 1  # the first spec had landed
+
 
 # ----------------------------------------------------------------------
 # stealing shards

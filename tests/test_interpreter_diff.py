@@ -27,8 +27,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.assembler import assemble
-from repro.isa.executor import ThreadContext, step_one, trace_threads, trace_warps
+from repro.dram.dram import GlobalMemory
+from repro.isa.executor import ALU, BRANCH, decode, trace_threads, trace_warps
+from repro.isa.instructions import Op
 from repro.isa.program import Program
 from repro.isa.vector import K_BAR, execute, execute_simt
 from repro.sim.driver import run
@@ -66,17 +67,33 @@ _UNOPS = {
 }
 
 
+_J, _HALT = int(Op.J), int(Op.HALT)
+
+
 def interpret(source: str, init: dict[int, float]) -> list[float]:
-    prog = assemble(source)
-    ctx = ThreadContext(0)
-    ctx.set_args(init)
-    steps = 0
-    while not ctx.halted:
-        acc = step_one(ctx, prog[ctx.pc])
-        assert acc is None, "ALU-only programs must not touch memory"
+    """Run an ALU/branch program over its :func:`decode` closures and
+    return the registers at the halt (exact Python ints, unlike the
+    float64 live state)."""
+    code = decode(Program.from_source(source))
+    regs: list = [0] * 32
+    for r, v in init.items():
+        regs[r] = v
+    pc = steps = 0
+    while True:
+        kind, fn, target = code[pc][:3]
+        assert kind in (ALU, BRANCH, _J, _HALT), \
+            "ALU-only programs must not touch memory"
+        if kind == _HALT:
+            return regs
+        if kind == ALU:
+            fn(regs)
+            pc += 1
+        elif kind == BRANCH:
+            pc = target if fn(regs) else pc + 1
+        else:
+            pc = target
         steps += 1
         assert steps < 10_000
-    return ctx.regs
 
 
 @st.composite
@@ -279,3 +296,76 @@ class TestSanitizedDifferentialSweep:
         assert len(results) == len(specs)
         assert all(r.validated for r in results)
         assert all(r.finish_ps > 0 for r in results)
+
+
+# ----------------------------------------------------------------------
+# error parity: the scalar walkers and the NumPy executors fail alike
+# ----------------------------------------------------------------------
+_WIDTH = 4
+
+
+def _mimd_reference(program, gm, args, state_words):
+    return trace_threads(program, gm.read_word, args, 32, state_words)
+
+
+def _mimd_vector(program, gm, args, state_words):
+    return execute(program, gm.data, args, 32, state_words)
+
+
+def _simt_reference(program, gm, args, state_words):
+    return trace_warps(program, gm.read_word, args, 32, state_words, _WIDTH)
+
+
+def _simt_vector(program, gm, args, state_words):
+    return execute_simt(program, gm.data, args, 32, state_words, _WIDTH)
+
+
+#: id -> (source, exception, names data: the messages must match too);
+#: every thread gets r1 = its global index
+_FAULTS = {
+    "div-by-zero": ("li r2, 1\ndiv r3, r2, r0\nhalt", ZeroDivisionError, False),
+    "div-by-zero-into-r0": ("li r2, 1\ndiv r0, r2, r0\nhalt", ZeroDivisionError, False),
+    "idiv-by-zero": ("li r2, 1\nidiv r3, r2, r0\nhalt", ZeroDivisionError, False),
+    "idiv-by-zero-into-r0": ("li r2, 1\nidiv r0, r2, r0\nhalt", ZeroDivisionError, False),
+    "rem-by-zero": ("li r2, 1\nrem r3, r2, r0\nhalt", ZeroDivisionError, False),
+    "rem-by-zero-into-r0": ("li r2, 1\nrem r0, r2, r0\nhalt", ZeroDivisionError, False),
+    "sqrt-negative": ("li r2, -1\nsqrt r3, r2\nhalt", ValueError, False),
+    # threads 2 and 3 read words 8 and 9 of an 8-word image
+    "global-read-range": ("ldg r2, r1, 6\nhalt", IndexError, True),
+    # threads 2 and 3 address words 4 and 5 of a 4-word partition
+    "ldl-partition": ("ldl r2, r1, 2\nhalt", IndexError, True),
+    "stl-partition": ("stl r1, r1, 2\nhalt", IndexError, True),
+    "stg": ("stg r1, r0, 0\nhalt", NotImplementedError, False),
+    # thread 2 passes an argument in r0
+    "argument-in-r0": ("halt", ValueError, True),
+    # lane 0 branches to its own halt while lanes 1-3 halt at pc 1
+    "divergent-halt": ("beqz r1, done\nhalt\ndone:\nhalt", AssertionError, True),
+}
+
+
+_PAIRS = {
+    "trace_threads-execute": (_mimd_reference, _mimd_vector),
+    "trace_warps-execute_simt": (_simt_reference, _simt_vector),
+}
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("pair, fault", [
+        (pair, fault) for pair in _PAIRS for fault in _FAULTS
+        # MIMD threads halt independently: no divergent halt there
+        if not (fault == "divergent-halt" and pair == "trace_threads-execute")
+    ])
+    def test_same_exception(self, pair, fault):
+        source, error, names_data = _FAULTS[fault]
+        args = [{1: t} for t in range(_WIDTH)]
+        if fault == "argument-in-r0":
+            args[2] = {0: 1.0}
+        program = Program.from_source(source)
+        messages = []
+        for producer in _PAIRS[pair]:
+            with pytest.raises(error) as exc:
+                producer(program, GlobalMemory(8), args, 4)
+            assert type(exc.value) is error
+            messages.append(str(exc.value))
+        if names_data:
+            assert messages[0] == messages[1]

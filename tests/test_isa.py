@@ -7,44 +7,32 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa import (
-    AssemblyError,
-    MemAccess,
-    Op,
-    Program,
-    ThreadContext,
-    assemble,
-    branch_taken,
-    step_one,
-)
+from repro.isa import AssemblyError, Program, assemble
 from repro.isa.cfg import immediate_postdominators, leader_pcs
 from repro.isa.executor import trace_threads
+from repro.isa.vector import K_BAR, K_HALT, K_LDG
+
+#: live-state words [_DUMP, _DUMP + 32) receive r0..r31 at the halt
+_DUMP = 128
 
 
 def run_to_halt(source: str, args: dict[int, float] | None = None,
-                memory: dict[int, float] | None = None, max_steps: int = 100_000):
-    """Interpret a program to completion, servicing memory inline.
+                memory: dict[int, float] | None = None):
+    """Run one thread to completion with :func:`trace_threads`, serving
+    global loads from ``memory`` (0.0 elsewhere).
 
-    Returns (ctx, local_store) where local_store maps addr -> value."""
-    prog = Program.from_source(source)
-    ctx = ThreadContext(0)
-    if args:
-        ctx.set_args(args)
-    local: dict[int, float] = {}
+    Every ``halt`` becomes a jump to a dump that stores r0..r31 to the
+    live-state words at ``_DUMP`` before the real halt.  Returns
+    ``(regs, plan)``: the registers at the halt, as the float64 live
+    state holds them, and the thread's plan."""
+    dump = "".join(f"\nstl r{r}, r0, {_DUMP + r}" for r in range(32))
+    prog = Program.from_source(
+        f"{source.replace('halt', 'j dump_registers')}\n"
+        f"dump_registers:{dump}\nhalt")
     memory = memory or {}
-    for _ in range(max_steps):
-        if ctx.halted:
-            return ctx, local
-        acc = step_one(ctx, prog.instrs[ctx.pc])
-        if acc is None:
-            continue
-        if acc.is_store:
-            local[acc.addr] = acc.value
-        elif acc.is_global:
-            ctx.commit_load(acc.rd, memory.get(acc.addr, 0.0))
-        else:
-            ctx.commit_load(acc.rd, local.get(acc.addr, 0.0))
-    raise AssertionError("program did not halt")
+    plan = trace_threads(prog, lambda addr: memory.get(addr, 0.0),
+                         [args or {}], 32, _DUMP + 32)
+    return plan.local[0, _DUMP:].tolist(), plan
 
 
 class TestAssembler:
@@ -159,7 +147,7 @@ class TestCfg:
 
 class TestInterpreter:
     def test_arithmetic(self):
-        ctx, _ = run_to_halt("""
+        regs, _ = run_to_halt("""
             li r1, 7
             li r2, 3
             add r3, r1, r2
@@ -169,10 +157,10 @@ class TestInterpreter:
             rem r7, r1, r2
             halt
         """)
-        assert ctx.regs[3:8] == [10, 4, 21, 2, 1]
+        assert regs[3:8] == [10, 4, 21, 2, 1]
 
     def test_float_ops(self):
-        ctx, _ = run_to_halt("""
+        regs, _ = run_to_halt("""
             li r1, 2.0
             sqrt r2, r1
             li r3, 7
@@ -181,17 +169,17 @@ class TestInterpreter:
             trunc r6, r5
             halt
         """)
-        assert ctx.regs[2] == pytest.approx(math.sqrt(2))
-        assert ctx.regs[5] == pytest.approx(3.5)
-        assert ctx.regs[6] == 3
+        assert regs[2] == pytest.approx(math.sqrt(2))
+        assert regs[5] == pytest.approx(3.5)
+        assert regs[6] == 3
 
     def test_r0_hardwired_zero(self):
-        ctx, _ = run_to_halt("li r0, 99\nadd r1, r0, r0\nhalt")
-        assert ctx.regs[0] == 0
-        assert ctx.regs[1] == 0
+        regs, _ = run_to_halt("li r0, 99\nadd r1, r0, r0\nhalt")
+        assert regs[0] == 0
+        assert regs[1] == 0
 
     def test_comparisons(self):
-        ctx, _ = run_to_halt("""
+        regs, _ = run_to_halt("""
             li r1, 3
             li r2, 5
             slt r3, r1, r2
@@ -201,10 +189,10 @@ class TestInterpreter:
             slti r7, r1, 2
             halt
         """)
-        assert ctx.regs[3:8] == [1, 1, 0, 1, 0]
+        assert regs[3:8] == [1, 1, 0, 1, 0]
 
     def test_bitwise(self):
-        ctx, _ = run_to_halt("""
+        regs, _ = run_to_halt("""
             li r1, 12
             li r2, 10
             and r3, r1, r2
@@ -216,13 +204,13 @@ class TestInterpreter:
             andi r9, r1, 4
             halt
         """)
-        assert ctx.regs[3:6] == [8, 14, 6]
-        assert ctx.regs[7] == 48
-        assert ctx.regs[8] == 3
-        assert ctx.regs[9] == 4
+        assert regs[3:6] == [8, 14, 6]
+        assert regs[7] == 48
+        assert regs[8] == 3
+        assert regs[9] == 4
 
     def test_min_max_abs_neg(self):
-        ctx, _ = run_to_halt("""
+        regs, _ = run_to_halt("""
             li r1, -3
             li r2, 5
             min r3, r1, r2
@@ -231,10 +219,10 @@ class TestInterpreter:
             neg r6, r2
             halt
         """)
-        assert ctx.regs[3:7] == [-3, 5, 3, -5]
+        assert regs[3:7] == [-3, 5, 3, -5]
 
     def test_loop_counts(self):
-        ctx, _ = run_to_halt("""
+        regs, plan = run_to_halt("""
             li r1, 0
             li r2, 10
         loop:
@@ -242,32 +230,25 @@ class TestInterpreter:
             blt r1, r2, loop
             halt
         """)
-        assert ctx.regs[1] == 10
-        assert ctx.branches == 10
-        assert ctx.taken_branches == 9
+        assert regs[1] == 10
+        assert plan.branches[0] == 10
+        assert plan.taken_branches[0] == 9
 
-    def test_memory_access_descriptors(self):
-        prog = Program.from_source("li r1, 100\nldg r2, r1, 5\nstl r1, r1, -4\nhalt")
-        ctx = ThreadContext(0)
-        assert step_one(ctx, prog.instrs[0]) is None
-        acc = step_one(ctx, prog.instrs[1])
-        assert isinstance(acc, MemAccess)
-        assert (acc.addr, acc.rd, acc.is_global, acc.is_store) == (105, 2, True, False)
-        ctx.commit_load(acc.rd, 7.5)
-        assert ctx.regs[2] == 7.5
-        acc = step_one(ctx, prog.instrs[2])
-        assert (acc.addr, acc.value, acc.is_store, acc.is_global) == (96, 100, True, False)
+    def test_memory_operands(self):
+        regs, plan = run_to_halt("li r1, 100\nldg r2, r1, 5\nstl r1, r1, -4\nhalt",
+                                 memory={105: 7.5})
+        trace = plan.traces[0]
+        # the ldg is the one global event: word 105, its data lands in r2
+        assert (trace.kinds, trace.addrs) == ([K_LDG, K_HALT], [105, -1])
+        assert regs[2] == 7.5
+        # the stl stores r1's value 100 to local word 96
+        assert plan.local[0, 96] == 100
+        assert plan.local_writes[0] == 1 + 32  # plus the register dump
 
     def test_bar_surfaces_to_core(self):
-        prog = Program.from_source("bar\nhalt")
-        ctx = ThreadContext(0)
-        acc = step_one(ctx, prog.instrs[0])
-        assert acc is not None and acc.op == int(Op.BAR)
-
-    def test_branch_taken_requires_branch(self):
-        prog = Program.from_source("nop\nhalt")
-        with pytest.raises(ValueError):
-            branch_taken(ThreadContext(0), prog.instrs[0])
+        plan = trace_threads(Program.from_source("bar\nhalt"),
+                             lambda addr: 0.0, [{}], 32, 1)
+        assert plan.traces[0].kinds == [K_BAR, K_HALT]
 
     def test_instruction_count(self):
         plan = trace_threads(Program.from_source("li r1, 1\nnop\nhalt"),
@@ -277,12 +258,12 @@ class TestInterpreter:
     @given(st.integers(min_value=-1000, max_value=1000),
            st.integers(min_value=-1000, max_value=1000))
     def test_add_matches_python(self, a, b):
-        ctx, _ = run_to_halt("add r3, r1, r2\nhalt", args={1: a, 2: b})
-        assert ctx.regs[3] == a + b
+        regs, _ = run_to_halt("add r3, r1, r2\nhalt", args={1: a, 2: b})
+        assert regs[3] == a + b
 
     @given(st.integers(min_value=0, max_value=50))
     def test_loop_trip_count_property(self, n):
-        ctx, _ = run_to_halt("""
+        regs, _ = run_to_halt("""
             li r3, 0
         loop:
             bge r3, r1, done
@@ -291,4 +272,4 @@ class TestInterpreter:
         done:
             halt
         """, args={1: n})
-        assert ctx.regs[3] == n
+        assert regs[3] == n

@@ -10,9 +10,10 @@ then drives them through the SIMT divergence discipline:
   warp-block execution;
 * an **oracle walker** defined here, which writes the PDOM rules down
   once more, independently of the simulator: one instruction at a time,
-  per-lane interpretation via the reference executor, the else-path
-  pushed before the taken path on a divergent branch, and reconverged
-  frames popped after *every* instruction.
+  per-lane interpretation via the decoded instruction closures
+  (:func:`repro.isa.executor.decode`), the else-path pushed before the
+  taken path on a divergent branch, and reconverged frames popped after
+  *every* instruction.
 
 The vector log is expanded to the per-issue stream (within a block the
 mask is constant and only the top frame's PC advances — the property
@@ -30,8 +31,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.executor import (ThreadContext, branch_taken, exec_non_memory,
-                                trace_warps)
+from repro.isa.executor import ALU, decode, trace_warps
 from repro.isa.instructions import Op
 from repro.isa.program import Program
 from repro.isa.vector import execute_simt
@@ -57,9 +57,11 @@ def reference_stream(program, lane_args: list[dict[int, float]]):
     width = len(lane_args)
     plen = len(program.instrs)
     full = (1 << width) - 1
-    lanes = [ThreadContext(l, N_REGS) for l in range(width)]
-    for ctx, args in zip(lanes, lane_args):
-        ctx.set_args(args)
+    code = decode(program)
+    lanes = [[0] * N_REGS for _ in range(width)]
+    for regs, args in zip(lanes, lane_args):
+        for r, v in args.items():
+            regs[r] = v
     stack: list[list[int]] = [[plen, 0, full]]
 
     def pop_reconverged():
@@ -78,7 +80,7 @@ def reference_stream(program, lane_args: list[dict[int, float]]):
         if _BEQ <= op <= _BNEZ:
             taken_mask = 0
             for l in active:
-                if branch_taken(lanes[l], ins):
+                if code[pc][1](lanes[l]):  # the branch condition
                     taken_mask |= 1 << l
             if taken_mask == mask:
                 top[1] = ins.target
@@ -96,10 +98,10 @@ def reference_stream(program, lane_args: list[dict[int, float]]):
         elif op == _J or op == _STL:
             top[1] = ins.target if op == _J else pc + 1
         else:
+            kind, execute_alu = code[pc][:2]
+            assert kind == ALU, f"unexpected {ins.text}"
             for l in active:
-                ctx = lanes[l]
-                ctx.pc = pc
-                exec_non_memory(ctx, ins)
+                execute_alu(lanes[l])
             top[1] = pc + 1
         pop_reconverged()
     raise AssertionError("reference walker did not terminate")
